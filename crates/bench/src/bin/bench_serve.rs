@@ -28,6 +28,13 @@
 //! sweep past saturation where the bounded shard queues shed instead
 //! of queueing without bound.
 //!
+//! The `publish` block times the write side's epoch publish on a
+//! steady repair drain (K = 256 and K = 1024, one full node cycle):
+//! every frame's [`EpochPublisher::publish`] — the change-log delta
+//! over the two-epochs-stale spare — interleaved with a direct
+//! [`TableSnapshot::fill_from`] of the same state, the full copy the
+//! publisher falls back to. Mean, p50, p99 and max per epoch for both.
+//!
 //! `--dump` renders every query's resolved answer as text: CI diffs the
 //! output across shard counts, across `full` vs `incremental` recompute
 //! strategies, and across `--layout soa|aos` execution paths (published
@@ -44,13 +51,15 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use etx::fleet::ScenarioSpec;
-use etx::graph::{topology::Mesh2D, NodeId};
+use etx::graph::{topology::Mesh2D, NodeId, PathBackend};
 use etx::metrics::{CounterId, MetricsHandle, Registry, SpanId};
-use etx::routing::{Algorithm, RecomputeStrategy, Router, SystemReport};
+use etx::routing::{
+    Algorithm, RecomputeStrategy, Router, RoutingScratch, RoutingState, SystemReport,
+};
 use etx::serve::{
     run_load, run_wire_load, AosFrontend, EpochPublisher, FleetFrontend, LoadMode, LoadReport,
-    QueryBatch, QueryOutput, QueryResult, Served, ServedConfig, WireLoadReport, WorkloadGen,
-    WorkloadSpec,
+    QueryBatch, QueryOutput, QueryResult, Served, ServedConfig, TableSnapshot, WireLoadReport,
+    WorkloadGen, WorkloadSpec,
 };
 use etx::units::Length;
 
@@ -237,6 +246,107 @@ fn measure_layout(smoke: bool) -> LayoutStats {
     LayoutStats { next_hop: timings[0], cost: timings[1], path: timings[2], mixed: timings[3] }
 }
 
+/// Mean, p50, p99 and max of per-epoch nanoseconds.
+struct Distribution {
+    mean: f64,
+    p50: u64,
+    p99: u64,
+    max: u64,
+}
+
+impl Distribution {
+    fn of(mut samples: Vec<u64>) -> Distribution {
+        samples.sort_unstable();
+        let rank = |q: f64| {
+            let i = ((q * samples.len() as f64).ceil() as usize).clamp(1, samples.len());
+            samples[i - 1]
+        };
+        Distribution {
+            mean: samples.iter().sum::<u64>() as f64 / samples.len() as f64,
+            p50: rank(0.50),
+            p99: rank(0.99),
+            max: rank(1.0),
+        }
+    }
+}
+
+struct PublishPoint {
+    k: usize,
+    frames: usize,
+    delta: Distribution,
+    fill: Distribution,
+    cells_per_publish: f64,
+    full_fallbacks: u64,
+}
+
+/// The publish block: a `side`x`side` fabric on the daemon's write
+/// path (Dijkstra backend, incremental repair) drains one node by one
+/// battery bucket per frame, in `(frame*7+3) % K` order over one full
+/// node cycle after a short warm-up. Each frame publishes (no pins
+/// held, so the spare is always reclaimable) and also refills a
+/// separate warm snapshot with `fill_from`; the two timings alternate
+/// order frame by frame.
+fn measure_publish(side: usize) -> PublishPoint {
+    let graph = Mesh2D::square(side, Length::from_centimetres(2.05)).to_graph();
+    let k = graph.node_count();
+    let modules: Vec<Vec<NodeId>> =
+        (0..3).map(|m| (m..k).step_by(3).map(NodeId::new).collect()).collect();
+    let router = Router::new(Algorithm::Ear)
+        .with_backend(PathBackend::DijkstraAllPairs)
+        .with_strategy(RecomputeStrategy::IncrementalRepair);
+    let mut scratch = RoutingScratch::new();
+    let mut state = RoutingState::empty();
+    let mut report = SystemReport::fresh(k, 16);
+    router.compute_into(&graph, &modules, &report, None, &mut scratch, &mut state);
+    let metrics = MetricsHandle::new(Arc::new(Registry::counters_only()));
+    let (mut publisher, _reader) = EpochPublisher::new();
+    publisher.set_metrics(metrics.clone());
+    let mut full_copy = TableSnapshot::empty();
+    let warm = 8usize;
+    let (mut delta_ns, mut fill_ns) = (Vec::with_capacity(k), Vec::with_capacity(k));
+    let (mut cells_before, mut full_before) = (0, 0);
+    for frame in 0..warm + k {
+        if frame == warm {
+            cells_before = metrics.counter(CounterId::ServePublishCells);
+            full_before = metrics.counter(CounterId::ServePublishFull);
+        }
+        let node = NodeId::new((frame * 7 + 3) % k);
+        let level = report.battery_level(node);
+        report.set_battery_level(node, level.saturating_sub(1));
+        router.recompute_dirty_into(&graph, &modules, &report, &[node], &mut scratch, &mut state);
+        let next = publisher.epoch() + 1;
+        let mut time_fill = || {
+            let start = Instant::now();
+            full_copy.fill_from(next, &state);
+            start.elapsed().as_nanos() as u64
+        };
+        let publish_first = frame % 2 == 0;
+        let mut fill = if publish_first { 0 } else { time_fill() };
+        let start = Instant::now();
+        let epoch = publisher.publish(&state);
+        let publish = start.elapsed().as_nanos() as u64;
+        if publish_first {
+            fill = time_fill();
+        }
+        assert_eq!(full_copy.epoch(), epoch);
+        if frame >= warm {
+            delta_ns.push(publish);
+            fill_ns.push(fill);
+        }
+    }
+    // The published epoch is the full copy, byte for byte.
+    assert!(*publisher.reader().pin() == full_copy, "delta publish diverged from fill_from");
+    let cells = metrics.counter(CounterId::ServePublishCells) - cells_before;
+    PublishPoint {
+        k,
+        frames: k,
+        delta: Distribution::of(delta_ns),
+        fill: Distribution::of(fill_ns),
+        cells_per_publish: cells as f64 / k as f64,
+        full_fallbacks: metrics.counter(CounterId::ServePublishFull) - full_before,
+    }
+}
+
 struct DaemonStats {
     closed: WireLoadReport,
     capacity: WireLoadReport,
@@ -412,6 +522,26 @@ fn bench(smoke: bool, out_path: &str) {
     eprintln!("interleaving SoA planes vs AoS mirror on a module-dense fabric...");
     let layout = measure_layout(smoke);
 
+    let publish: Vec<PublishPoint> = (if smoke { [8usize, 16] } else { [16, 32] })
+        .into_iter()
+        .map(|side| {
+            let point = measure_publish(side);
+            eprintln!(
+                "publish K={:<5}: delta mean {:>9.0} ns p99 {:>9} max {:>9}; fill_from mean \
+                 {:>9.0} ns p99 {:>9}; {:.0} cells/publish, {} full fallbacks",
+                point.k,
+                point.delta.mean,
+                point.delta.p99,
+                point.delta.max,
+                point.fill.mean,
+                point.fill.p99,
+                point.cells_per_publish,
+                point.full_fallbacks,
+            );
+            point
+        })
+        .collect();
+
     let daemon = measure_daemon(side, big_count, warm, target);
 
     let mut json = String::new();
@@ -492,6 +622,38 @@ fn bench(smoke: bool, out_path: &str) {
         layout.mixed.1 / layout.mixed.0
     );
     json.push_str("  },\n");
+    json.push_str("  \"publish\": {\n");
+    json.push_str(
+        "    \"method\": \"steady repair drain (Dijkstra backend, incremental repair, EAR, 3 \
+         striped modules), one battery bucket per frame in (frame*7+3)%K order over one full \
+         node cycle after 8 warm-up frames, no pins held; per frame the delta publish and a \
+         direct TableSnapshot::fill_from of the same state, in alternating order\",\n",
+    );
+    json.push_str("    \"points\": [\n");
+    for (i, p) in publish.iter().enumerate() {
+        let _ = writeln!(
+            json,
+            "      {{\"k\": {}, \"frames\": {}, \"publish_delta_mean_ns\": {:.0}, \
+             \"publish_delta_p50_ns\": {}, \"publish_delta_p99_ns\": {}, \
+             \"publish_delta_max_ns\": {}, \"fill_from_mean_ns\": {:.0}, \
+             \"fill_from_p50_ns\": {}, \"fill_from_p99_ns\": {}, \"fill_from_max_ns\": {}, \
+             \"cells_per_publish\": {:.0}, \"full_fallbacks\": {}}}{}",
+            p.k,
+            p.frames,
+            p.delta.mean,
+            p.delta.p50,
+            p.delta.p99,
+            p.delta.max,
+            p.fill.mean,
+            p.fill.p50,
+            p.fill.p99,
+            p.fill.max,
+            p.cells_per_publish,
+            p.full_fallbacks,
+            if i + 1 == publish.len() { "" } else { "," }
+        );
+    }
+    json.push_str("    ]\n  },\n");
     json.push_str("  \"daemon\": {\n");
     json.push_str(
         "    \"transport\": \"etx-served over loopback TCP; 1 shard (per-core figure); \

@@ -13,7 +13,9 @@
 //!   execution plan.
 //! * [`Class::Cost`] — identical across shard counts but legitimately
 //!   feed-/strategy-dependent: the routing recompute cost counters
-//!   (exactly the set CI masks with `grep -v '"recompute"'`). The
+//!   (exactly the set CI masks with `grep -v '"recompute"'`), and the
+//!   publish-path counters `serve.publish_cells`/`serve.publish_full`,
+//!   which follow the recompute strategy's change logs. The
 //!   `net.*` wire counters also ride in this class: they are
 //!   traffic-shaped rather than results-level, so they must stay out of
 //!   the deterministic export, yet they are exact integers worth having
@@ -105,11 +107,15 @@ pub enum CounterId {
     NetShedTotal = 30,
     /// Malformed/oversized/unknown frames answered with an error frame.
     NetProtocolErrors = 31,
+    /// Distance/successor cells a delta publish copied into its spare.
+    ServePublishCells = 32,
+    /// Publishes that refilled every plane (the delta path declined).
+    ServePublishFull = 33,
 }
 
 impl CounterId {
     /// Number of counters in the catalog.
-    pub const COUNT: usize = 32;
+    pub const COUNT: usize = 34;
 
     /// Every counter, in export order.
     pub const ALL: [CounterId; CounterId::COUNT] = [
@@ -145,6 +151,8 @@ impl CounterId {
         CounterId::NetIngests,
         CounterId::NetShedTotal,
         CounterId::NetProtocolErrors,
+        CounterId::ServePublishCells,
+        CounterId::ServePublishFull,
     ];
 
     /// The counter's export name.
@@ -183,6 +191,8 @@ impl CounterId {
             CounterId::NetIngests => "net.ingests",
             CounterId::NetShedTotal => "net.shed_total",
             CounterId::NetProtocolErrors => "net.protocol_errors",
+            CounterId::ServePublishCells => "serve.publish_cells",
+            CounterId::ServePublishFull => "serve.publish_full",
         }
     }
 

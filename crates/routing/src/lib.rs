@@ -24,6 +24,9 @@
 //!    `O(changed subtree · log K)` per source), affected-sources
 //!    re-runs, or a full phase 2 — into preallocated
 //!    [`RoutingScratch`] storage with zero steady-state allocation.
+//!    Each recompute stamps the state with a fresh generation token and
+//!    a [`ChangeLog`] of the phase-2 cells it may have rewritten, which
+//!    lets read-side copies catch up cell by cell.
 //! 3. **Phase 3 — destination selection.** For every node and every
 //!    module, pick the nearest *live* duplicate of that module (w.r.t. the
 //!    phase-2 distances) while avoiding ports in a deadlock state
@@ -58,6 +61,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod changelog;
 mod report;
 mod router;
 mod scratch;
@@ -65,6 +69,7 @@ mod table;
 mod weighting;
 mod weights;
 
+pub use changelog::ChangeLog;
 pub use etx_graph::{NodeBitset, PathBackend};
 pub use report::SystemReport;
 pub use router::{Algorithm, FrameDelta, RecomputeStrategy, Router};

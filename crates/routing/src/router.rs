@@ -604,6 +604,7 @@ impl Router {
             // trees are not maintained here, so a later repair frame
             // starts cold.
             scratch.trees_valid = false;
+            out.begin_change(n, true);
             let paths = out.paths_mut();
             for s in 0..n {
                 if !scratch.affected[s] {
@@ -754,6 +755,8 @@ impl Router {
             // delta frame after a full recompute, or after an affected-
             // sources frame) re-run every source once, recording trees;
             // warm frames repair.
+            // Cold trees re-run every source below: the log is "all".
+            out.begin_change(n, !trees_ok);
             if !trees_ok {
                 scratch.trees.reset(n);
                 scratch.in_adjacency.rebuild_transpose(&scratch.weights);
@@ -764,7 +767,7 @@ impl Router {
             let (mut dec_repairs, mut dec_improved) = (0u64, 0u64);
             for s in 0..n {
                 let source = NodeId::new(s);
-                let (paths, prev_table, _) = out.paths_and_table_mut();
+                let (paths, prev_table, _, log) = out.paths_and_table_mut();
                 let (dist_row, succ_row) = paths.source_rows_mut(source);
                 let outcome = if trees_ok {
                     repair_source(
@@ -784,6 +787,7 @@ impl Router {
                 match outcome {
                     RepairOutcome::Unchanged => {}
                     RepairOutcome::Repaired { improved, .. } => {
+                        log.push_cells(s, scratch.repair.touched_nodes());
                         let mut mask = u64::MAX;
                         if masks_ok {
                             mask = 0;
@@ -863,6 +867,7 @@ impl Router {
                         );
                         // The whole row was re-solved: every entry of
                         // this source may have changed.
+                        log.push_row(s);
                         scratch.row_mask[s] = u64::MAX;
                         fallback += 1;
                     }
@@ -951,6 +956,7 @@ impl Router {
             }
         }
         let resolved = self.backend.resolve(n, graph.edge_count());
+        out.begin_change(n, true);
         resolved.compute_into(
             &scratch.weights,
             &mut scratch.adjacency,

@@ -3,6 +3,7 @@
 
 use etx_graph::{IndexPlane, Matrix, NodeBitset, NodeId, PlaneIdx, ShortestPaths};
 
+use crate::changelog::{fresh_generation, ChangeLog};
 use crate::SystemReport;
 
 /// One routing-table entry: where node `n` should send a packet whose next
@@ -179,12 +180,17 @@ pub struct RoutingState {
     table: Vec<Option<RouteEntry>>,
     modules: usize,
     pub(crate) policy: PathPolicy,
+    /// Provenance token of the phase-2 planes (see [`ChangeLog`]);
+    /// clones share it until their next recompute.
+    generation: u64,
+    /// The cells the most recent recompute may have rewritten.
+    log: ChangeLog,
 }
 
 /// Equality compares the routing *data* (phase-2 paths and phase-3
-/// table) only; the internal backend-provenance marker is excluded, so
-/// identically-routed states built through different entry points
-/// compare equal.
+/// table) only; the internal backend-provenance marker, the generation
+/// token and the change log are excluded, so identically-routed states
+/// built through different entry points compare equal.
 impl PartialEq for RoutingState {
     fn eq(&self, other: &Self) -> bool {
         self.paths == other.paths && self.table == other.table && self.modules == other.modules
@@ -229,6 +235,8 @@ impl RoutingState {
             table: Vec::new(),
             modules: module_nodes.len(),
             policy: PathPolicy::Unknown,
+            generation: fresh_generation(),
+            log: ChangeLog::all(),
         };
         // Snapshot the previous first hops (only deadlocked nodes need
         // them; copying the full table keeps the loop branch-free).
@@ -250,6 +258,8 @@ impl RoutingState {
             table: Vec::new(),
             modules: 0,
             policy: PathPolicy::Unknown,
+            generation: fresh_generation(),
+            log: ChangeLog::all(),
         }
     }
 
@@ -266,19 +276,33 @@ impl RoutingState {
         out.extend(self.table.iter().map(|e| e.as_ref().map(|e| e.next_hop)));
     }
 
+    /// Opens a recompute over `n × n` planes: draws a fresh generation
+    /// and starts a change log based on the current one — "all" when
+    /// the recompute rewrites every row, empty otherwise, to be filled
+    /// through [`RoutingState::paths_and_table_mut`]. Every router path
+    /// that mutates the planes calls this first.
+    pub(crate) fn begin_change(&mut self, n: usize, all: bool) {
+        self.log.begin(self.generation, n);
+        if all {
+            self.log.mark_all();
+        }
+        self.generation = fresh_generation();
+    }
+
     /// Mutable access to the phase-2 data for in-place backends.
     pub(crate) fn paths_mut(&mut self) -> &mut ShortestPaths {
         &mut self.paths
     }
 
-    /// Split borrow for the repair pipeline: mutable phase-2 data plus a
+    /// Split borrow for the repair pipeline: mutable phase-2 data, a
     /// read-only view of the *current* (pre-rebuild) table, so stage 2
     /// can check which entries' winning destinations were touched while
-    /// it rewrites the all-pairs rows.
+    /// it rewrites the all-pairs rows, and the change log the rewrites
+    /// are recorded in.
     pub(crate) fn paths_and_table_mut(
         &mut self,
-    ) -> (&mut ShortestPaths, &[Option<RouteEntry>], usize) {
-        (&mut self.paths, &self.table, self.modules)
+    ) -> (&mut ShortestPaths, &[Option<RouteEntry>], usize, &mut ChangeLog) {
+        (&mut self.paths, &self.table, self.modules, &mut self.log)
     }
 
     /// Rebuilds the phase-3 table in place from the current phase-2 data
@@ -629,6 +653,22 @@ impl RoutingState {
     #[must_use]
     pub fn paths(&self) -> &ShortestPaths {
         &self.paths
+    }
+
+    /// The provenance token of the phase-2 planes: equal generations
+    /// mean identical distance and successor planes (see
+    /// [`ChangeLog`]). Drawn afresh by every recompute; a clone keeps
+    /// its original's until its own next recompute.
+    #[must_use]
+    pub fn generation(&self) -> u64 {
+        self.generation
+    }
+
+    /// The phase-2 cells the most recent recompute may have rewritten,
+    /// relative to the state at generation [`ChangeLog::base`].
+    #[must_use]
+    pub fn change_log(&self) -> &ChangeLog {
+        &self.log
     }
 }
 

@@ -15,15 +15,56 @@
 //! its buffers are refilled in place (checked via `Arc::get_mut`), so a
 //! steady-state publish loop performs **no heap allocation** once both
 //! buffers have warmed to the fabric's dimensions.
+//!
+//! # Delta publish
+//!
+//! A reclaimed spare holds the epoch before the current one, so it is
+//! **two epochs stale**. Rather than recopying the `K²` distance and
+//! successor planes, the publisher brings it up to date from the
+//! routing states' cell-grain [`ChangeLog`]s: every
+//! [`RoutingState`] carries a generation token and the log of the
+//! cells its last recompute rewrote, relative to the generation it
+//! started from. The publisher remembers the generation behind the
+//! spare and behind the current snapshot, plus the current state's
+//! log. A publish then copies the **union of two logs** — spare →
+//! current and current → new — into the spare (a cell named twice is
+//! copied twice), and refills the small route-table planes
+//! (`K × modules` entries) in full. Each leg is empty when its two
+//! generations are equal (a republish of an unchanged state).
+//!
+//! The delta path runs only when all of these hold, and otherwise the
+//! publish falls back to [`TableSnapshot::fill_from`] (which also stays
+//! the test oracle — every delta publish equals it byte for byte):
+//!
+//! 1. the spare is reclaimable: no reader still pins it;
+//! 2. the generations chain: each leg's log has its start generation as
+//!    [`ChangeLog::base`] and is not "all" (full recomputes,
+//!    affected-sources frames, cold repair trees and freshly built or
+//!    foreign states break the chain);
+//! 3. the spare's planes fit the new state: same node count, and the
+//!    lane width [`TableSnapshot::fill_from`] would pick;
+//! 4. the two logs together name at most
+//!    [`DELTA_PUBLISH_MAX_FRACTION`] of the `K²` cells — past that a
+//!    streaming full copy is cheaper than the scattered cell copy.
+//!
+//! The `serve.publish_cells` counter adds the cells each delta publish
+//! copied; `serve.publish_full` counts fallbacks.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use etx_metrics::{CounterId, GaugeId, MetricsHandle, SpanId};
-use etx_routing::RoutingState;
+use etx_routing::{ChangeLog, RoutingState};
 use etx_sim::TableObserver;
 
 use crate::snapshot::TableSnapshot;
+
+/// A delta publish copies at most this fraction of the `K²` phase-2
+/// cells; past it the publish falls back to a full refill. Measured on
+/// the K = 1024 steady drain: a scattered cell copy costs about 9–10 ns
+/// per cell against 3.3–3.9 ns for the streamed full copy, so the
+/// break-even sits near a third; a quarter keeps a margin.
+const DELTA_PUBLISH_MAX_FRACTION: f64 = 0.25;
 
 /// A pinned, immutable snapshot — cheap to clone, safe to hold across
 /// any number of republishes.
@@ -44,8 +85,15 @@ pub struct EpochPublisher {
     /// when no reader pins it any more.
     spare: Option<PinnedSnapshot>,
     next_epoch: u64,
-    /// Records `serve.publish` spans, the publish counter and the epoch
-    /// gauge; the default no-op handle costs one relaxed load per
+    /// Generation of the routing state behind the spare (0: none).
+    spare_generation: u64,
+    /// Generation of the routing state behind the current snapshot.
+    current_generation: u64,
+    /// That state's change log: the spare → current leg of the next
+    /// delta publish.
+    current_log: ChangeLog,
+    /// Records `serve.publish` spans, the publish counters and the
+    /// epoch gauge; the default no-op handle costs one relaxed load per
     /// publish.
     metrics: MetricsHandle,
 }
@@ -69,6 +117,9 @@ impl EpochPublisher {
                 slot: Arc::clone(&slot),
                 spare: None,
                 next_epoch: 0,
+                spare_generation: 0,
+                current_generation: 0,
+                current_log: ChangeLog::default(),
                 metrics: MetricsHandle::default(),
             },
             SnapshotReader { slot },
@@ -97,6 +148,10 @@ impl EpochPublisher {
     /// atomically under a fresh epoch, which is returned. Readers
     /// pinned to earlier epochs are unaffected; new pins observe the
     /// complete new table or the complete old one, never a mix.
+    ///
+    /// The copy is a delta over the reclaimed spare when the
+    /// generations chain (see the module docs), a full refill
+    /// otherwise; both produce the same snapshot.
     pub fn publish(&mut self, routing: &RoutingState) -> u64 {
         // The span guard borrows the registry, so hold the handle
         // locally (an `Arc` bump) while the publish mutates `self`.
@@ -110,12 +165,28 @@ impl EpochPublisher {
         // reader still holds it (the reader keeps its epoch intact; we
         // simply cannot reuse the buffer).
         let mut snap = self.spare.take().unwrap_or_default();
+        let generation = routing.generation();
+        let n = routing.node_count();
+        let legs = [
+            leg(self.spare_generation, self.current_generation, &self.current_log),
+            leg(self.current_generation, generation, routing.change_log()),
+        ];
         match Arc::get_mut(&mut snap) {
-            Some(buffer) => buffer.fill_from(epoch, routing),
+            Some(buffer) => match legs {
+                [Some(a), Some(b)] if buffer.planes_fit(n) && within_delta_budget(a, b, n) => {
+                    let copied = buffer.patch_from(epoch, routing, &[a, b]);
+                    metrics.add(CounterId::ServePublishCells, copied);
+                }
+                _ => {
+                    buffer.fill_from(epoch, routing);
+                    metrics.inc(CounterId::ServePublishFull);
+                }
+            },
             None => {
                 let mut fresh = TableSnapshot::empty();
                 fresh.fill_from(epoch, routing);
                 snap = Arc::new(fresh);
+                metrics.inc(CounterId::ServePublishFull);
             }
         }
         let displaced = {
@@ -124,8 +195,35 @@ impl EpochPublisher {
         };
         self.slot.epoch.store(epoch, Ordering::Release);
         self.spare = Some(displaced);
+        self.spare_generation = self.current_generation;
+        self.current_generation = generation;
+        self.current_log.copy_from(routing.change_log());
         epoch
     }
+}
+
+/// The empty log: the leg between equal generations.
+static NO_CHANGE: ChangeLog = ChangeLog::EMPTY;
+
+/// The cells that differ between the planes of generation `from` and
+/// those of generation `to`, given `to`'s change log: none when the
+/// generations are equal, the log when it starts at `from`, unknown
+/// otherwise.
+fn leg(from: u64, to: u64, log: &ChangeLog) -> Option<&ChangeLog> {
+    if from == to {
+        Some(&NO_CHANGE)
+    } else if !log.is_all() && log.base() == from {
+        Some(log)
+    } else {
+        None
+    }
+}
+
+/// Whether copying both legs stays within
+/// [`DELTA_PUBLISH_MAX_FRACTION`] of the `n × n` cells.
+#[allow(clippy::cast_precision_loss)]
+fn within_delta_budget(a: &ChangeLog, b: &ChangeLog, n: usize) -> bool {
+    (a.cell_count() + b.cell_count()) as f64 <= DELTA_PUBLISH_MAX_FRACTION * (n * n) as f64
 }
 
 impl SnapshotReader {

@@ -28,7 +28,7 @@
 //! gather loops per width.
 
 use etx_graph::{IndexPlane, Matrix, NodeId, PlaneIdx};
-use etx_routing::{RouteEntry, RouteTablePlanes, RoutingState};
+use etx_routing::{ChangeLog, RouteEntry, RouteTablePlanes, RoutingState};
 
 /// An immutable copy of everything a query needs from one controller
 /// invocation: the phase-3 per-(node, module) route table and the
@@ -103,6 +103,47 @@ impl TableSnapshot {
         let succ = routing.paths().successors().as_slice();
         self.succ.fill_with(succ.len(), index_bound, |i| succ[i].map(NodeId::index));
         self.table.fill_from_table(routing.route_table(), index_bound);
+    }
+
+    /// `true` when this snapshot's phase-2 planes have the shape
+    /// [`TableSnapshot::fill_from`] would give them for an `n`-node
+    /// state: `n × n`, at the lane width the natural bound selects.
+    pub(crate) fn planes_fit(&self, n: usize) -> bool {
+        self.nodes == n
+            && self.dist.rows() == n
+            && self.dist.cols() == n
+            && self.succ.len() == n * n
+            && self.succ.is_wide() != IndexPlane::narrow_fits(n)
+    }
+
+    /// Brings this snapshot up to `routing` at `epoch` by copying only
+    /// the phase-2 cells `logs` name, then refilling the table planes in
+    /// full. Returns the number of cells copied (a cell named by two
+    /// logs counts twice; copying it twice is harmless).
+    ///
+    /// The caller guarantees the result equals
+    /// [`TableSnapshot::fill_from`]: the planes already fit `routing`
+    /// ([`TableSnapshot::planes_fit`]) and every cell in which they
+    /// differ from `routing`'s is named by one of `logs` — which is what
+    /// the publisher's generation chain establishes.
+    pub(crate) fn patch_from(
+        &mut self,
+        epoch: u64,
+        routing: &RoutingState,
+        logs: &[&ChangeLog],
+    ) -> u64 {
+        let n = routing.node_count();
+        assert!(self.planes_fit(n), "delta patch onto planes of another shape");
+        self.epoch = epoch;
+        self.modules = routing.module_count();
+        let src_dist = routing.paths().distances();
+        let src_succ = routing.paths().successors();
+        let copied = match &mut self.succ {
+            IndexPlane::Narrow(succ) => copy_cells(&mut self.dist, succ, src_dist, src_succ, logs),
+            IndexPlane::Wide(succ) => copy_cells(&mut self.dist, succ, src_dist, src_succ, logs),
+        };
+        self.table.fill_from_table(routing.route_table(), n);
+        copied
     }
 
     /// The epoch this snapshot was published at (0 = never filled).
@@ -270,6 +311,43 @@ impl TableSnapshot {
         }
         true
     }
+}
+
+/// The cell copy of [`TableSnapshot::patch_from`], monomorphized per
+/// successor lane width: whole rows stream, cell runs scatter within
+/// their source's row.
+fn copy_cells<I: PlaneIdx>(
+    dist: &mut Matrix<f64>,
+    succ: &mut [I],
+    src_dist: &Matrix<f64>,
+    src_succ: &Matrix<Option<NodeId>>,
+    logs: &[&ChangeLog],
+) -> u64 {
+    let n = src_dist.cols();
+    let lane = |hop: Option<NodeId>| hop.map_or(I::SENTINEL, |h| I::compact(h.index()));
+    let mut copied = 0u64;
+    for log in logs {
+        for &s in log.rows() {
+            let s = s as usize;
+            dist.row_slice_mut(s).copy_from_slice(src_dist.row_slice(s));
+            let succ_row = &mut succ[s * n..(s + 1) * n];
+            for (dst, &hop) in succ_row.iter_mut().zip(src_succ.row_slice(s)) {
+                *dst = lane(hop);
+            }
+            copied += n as u64;
+        }
+        for (s, targets) in log.cell_runs() {
+            let (dist_row, src_dist_row) = (dist.row_slice_mut(s), src_dist.row_slice(s));
+            let (succ_row, src_succ_row) = (&mut succ[s * n..(s + 1) * n], src_succ.row_slice(s));
+            for &t in targets {
+                let t = t as usize;
+                dist_row[t] = src_dist_row[t];
+                succ_row[t] = lane(src_succ_row[t]);
+            }
+            copied += targets.len() as u64;
+        }
+    }
+    copied
 }
 
 #[cfg(test)]

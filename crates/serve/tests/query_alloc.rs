@@ -1,6 +1,7 @@
 //! Proves the zero-allocation claim of the serve path: once the batch,
 //! output and snapshot buffers have warmed up, a steady publish + query
-//! loop — epoch publication included — performs **no heap allocation**.
+//! loop — epoch publication included, on the full-fill and the
+//! change-log delta path alike — performs **no heap allocation**.
 //! Same counting-allocator discipline as the routing kernel's
 //! `RoutingScratch` (see `crates/routing/tests/zero_alloc.rs`).
 //!
@@ -10,9 +11,13 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
-use etx_graph::{topology::Mesh2D, NodeId};
-use etx_routing::{Algorithm, Router, RoutingScratch, RoutingState, SystemReport};
+use etx_graph::{topology::Mesh2D, NodeId, PathBackend};
+use etx_metrics::{CounterId, MetricsHandle, Registry};
+use etx_routing::{
+    Algorithm, RecomputeStrategy, Router, RoutingScratch, RoutingState, SystemReport,
+};
 use etx_serve::{
     EpochPublisher, FleetFrontend, Query, QueryBatch, QueryOutput, ShardWorkspace, WorkloadGen,
     WorkloadSpec,
@@ -214,4 +219,43 @@ fn steady_publish_and_query_loop_does_not_allocate() {
         .results()
         .iter()
         .any(|r| matches!(r, etx_serve::QueryResult::Path { nodes: (s, e), .. } if e > s)));
+
+    // Delta publish: a 16x16 repair drain (Dijkstra backend, so the
+    // router logs the cells it rewrites) publishing every frame with no
+    // pins held takes the change-log path, and it allocates nothing
+    // once warm — the routing state's log buffers and the publisher's
+    // copy of the previous log keep their capacity.
+    let graph = Mesh2D::square(16, Length::from_centimetres(2.05)).to_graph();
+    let k = graph.node_count();
+    let modules = module_stripes(k);
+    let router = Router::new(Algorithm::Ear)
+        .with_backend(PathBackend::DijkstraAllPairs)
+        .with_strategy(RecomputeStrategy::IncrementalRepair);
+    let mut scratch = RoutingScratch::new();
+    let mut state = RoutingState::empty();
+    let report = SystemReport::fresh(k, 16);
+    router.compute_into(&graph, &modules, &report, None, &mut scratch, &mut state);
+    let (mut publisher, _reader) = EpochPublisher::new();
+    let metrics = MetricsHandle::new(Arc::new(Registry::counters_only()));
+    publisher.set_metrics(metrics.clone());
+    publisher.publish(&state);
+    let mut fabric = Fabric { graph, modules, router, scratch, state, report, publisher };
+    for frame in 0..8 {
+        fabric.drain_frame(frame);
+    }
+    let (cells_before, full_before) = (
+        metrics.counter(CounterId::ServePublishCells),
+        metrics.counter(CounterId::ServePublishFull),
+    );
+    let frames = 64u32;
+    let before = allocations();
+    for frame in 8..8 + frames {
+        fabric.drain_frame(frame);
+    }
+    let allocated = allocations() - before;
+    assert_eq!(allocated, 0, "steady drain + delta publish allocated {allocated} times");
+    let cells = metrics.counter(CounterId::ServePublishCells) - cells_before;
+    let full = metrics.counter(CounterId::ServePublishFull) - full_before;
+    assert!(cells > 0, "no publish took the delta path");
+    assert!(4 * full < u64::from(frames), "{full} of {frames} publishes fell back to a full fill");
 }

@@ -3,12 +3,18 @@
 //! epoch E — across chains of drain/churn/reconnect report mutations,
 //! across concurrent republishes on top of held pins, and under every
 //! [`RecomputeStrategy`] (whose in-place delta/repair recomputes and
-//! delta-aware table rebuilds must never leak into a published epoch).
+//! delta-aware table rebuilds must never leak into a published epoch),
+//! and whichever way the publisher fills its spare: every delta publish
+//! (change-log cells copied into a two-epochs-stale spare) equals
+//! [`TableSnapshot::fill_from`] of the same state, byte for byte.
+
+use std::sync::Arc;
 
 use etx_fleet::ScenarioSpec;
-use etx_graph::{topology::Mesh2D, NodeId, PathBackend};
+use etx_graph::{topology::Mesh2D, NodeBitset, NodeId, PathBackend};
+use etx_metrics::{CounterId, MetricsHandle, Registry};
 use etx_routing::{
-    Algorithm, RecomputeStrategy, Router, RoutingScratch, RoutingState, SystemReport,
+    Algorithm, FrameDelta, RecomputeStrategy, Router, RoutingScratch, RoutingState, SystemReport,
 };
 use etx_serve::{
     EpochPublisher, FleetFrontend, PinnedSnapshot, Query, QueryBatch, QueryOutput, QueryResult,
@@ -43,6 +49,67 @@ fn expectation(epoch: u64, state: &RoutingState) -> TableSnapshot {
     let mut expected = TableSnapshot::empty();
     expected.fill_from(epoch, state);
     expected
+}
+
+/// One routing pipeline: a router's state, the scratch that produced
+/// it and the report it describes.
+struct Pipeline {
+    scratch: RoutingScratch,
+    state: RoutingState,
+    report: SystemReport,
+}
+
+impl Pipeline {
+    /// Applies one telemetry change to `node` — `kind` 0 drains its
+    /// battery by `amount` buckets, 1 kills it, 2 revives it at level
+    /// `amount` (a no-op when the node is already in that state) — and
+    /// recomputes through the dense dirty list or the engine's
+    /// changed-bitset frame entry.
+    #[allow(clippy::too_many_arguments)]
+    fn step(
+        &mut self,
+        router: &Router,
+        graph: &etx_graph::DiGraph,
+        modules: &[Vec<NodeId>],
+        node: NodeId,
+        kind: u8,
+        amount: u32,
+        via_frame: bool,
+    ) {
+        let alive = self.report.is_alive(node);
+        match kind {
+            0 if alive => {
+                let level = self.report.battery_level(node);
+                self.report.set_battery_level(node, level.saturating_sub(amount));
+            }
+            1 if alive => self.report.set_dead(node),
+            2 if !alive => self.report.revive(node, amount % self.report.levels()),
+            _ => {}
+        }
+        if via_frame {
+            let mut changed = NodeBitset::with_capacity(graph.node_count());
+            changed.insert(node);
+            let frame =
+                FrameDelta { changed: &changed, any_deadlock: false, placement_changed: false };
+            router.recompute_frame_into(
+                graph,
+                modules,
+                &self.report,
+                frame,
+                &mut self.scratch,
+                &mut self.state,
+            );
+        } else {
+            router.recompute_dirty_into(
+                graph,
+                modules,
+                &self.report,
+                &[node],
+                &mut self.scratch,
+                &mut self.state,
+            );
+        }
+    }
 }
 
 proptest! {
@@ -114,6 +181,96 @@ proptest! {
                     prop_assert_eq!(pin.route(node, m), want.route(node, m));
                 }
             }
+        }
+    }
+
+    /// The delta publish is invisible: across random drain, death and
+    /// revive chains (dense-list and bitset-frame entry points, every
+    /// strategy, so both logged repairs and "all" logs occur), readers
+    /// holding and releasing pins at random epochs (so the spare is
+    /// sometimes reclaimable and sometimes not), and interleaved
+    /// publishes of a foreign state (a clone that has since diverged),
+    /// every published snapshot equals `fill_from` of the same state —
+    /// when published and still when its last pin is checked.
+    #[test]
+    fn delta_publishes_equal_full_fills(
+        side in 4usize..9,
+        algorithm in prop_oneof![Just(Algorithm::Ear), Just(Algorithm::Sdr)],
+        strategy in prop_oneof![
+            Just(RecomputeStrategy::Full),
+            Just(RecomputeStrategy::AffectedSources),
+            Just(RecomputeStrategy::IncrementalRepair),
+            Just(RecomputeStrategy::Auto),
+        ],
+        ops in proptest::collection::vec(
+            (0u8..10, 0usize..64, 0u8..6, 1u32..16, any::<bool>(), any::<bool>()),
+            4..32
+        ),
+    ) {
+        let router = Router::new(algorithm)
+            .with_backend(PathBackend::DijkstraAllPairs)
+            .with_strategy(strategy);
+        let graph = mesh_graph(side);
+        let k = graph.node_count();
+        let modules = module_stripes(k);
+
+        let (mut publisher, reader) = EpochPublisher::new();
+        let mut main = Pipeline {
+            scratch: RoutingScratch::new(),
+            state: RoutingState::empty(),
+            report: SystemReport::fresh(k, 16),
+        };
+        router.compute_into(&graph, &modules, &main.report, None, &mut main.scratch, &mut main.state);
+        let mut foreign: Option<Pipeline> = None;
+        let mut held: Vec<(PinnedSnapshot, TableSnapshot)> = Vec::new();
+
+        for (op, node, kind, amount, hold, release) in ops {
+            let node = NodeId::new(node % k);
+            // Kinds: drains dominate (as in a live fabric); deaths and
+            // revives re-run whole rows or saturate the log.
+            let kind = kind.saturating_sub(3);
+            // Ops: 0-6 recompute the main state (dense list, or bitset
+            // frame from 4); 7 republishes it unchanged; 8 forks a
+            // foreign clone; 9 recomputes the foreign state (or, with
+            // `amount` even, republishes it unchanged).
+            let published = match op {
+                0..=6 => {
+                    main.step(&router, &graph, &modules, node, kind, amount, op >= 4);
+                    &main.state
+                }
+                7 => &main.state,
+                8 => {
+                    foreign = Some(Pipeline {
+                        scratch: RoutingScratch::new(),
+                        state: main.state.clone(),
+                        report: main.report.clone(),
+                    });
+                    continue;
+                }
+                _ => match foreign.as_mut() {
+                    Some(f) => {
+                        if amount % 2 == 1 {
+                            f.step(&router, &graph, &modules, node, kind, amount, false);
+                        }
+                        &f.state
+                    }
+                    None => &main.state,
+                },
+            };
+            let epoch = publisher.publish(published);
+            let want = expectation(epoch, published);
+            let pin = reader.pin();
+            prop_assert_eq!(pin.as_ref(), &want, "publish of epoch {} diverged", epoch);
+            if release && !held.is_empty() {
+                let (old, old_want) = held.remove(0);
+                prop_assert_eq!(old.as_ref(), &old_want, "held epoch {} changed", old_want.epoch());
+            }
+            if hold {
+                held.push((pin, want));
+            }
+        }
+        for (pin, want) in &held {
+            prop_assert_eq!(pin.as_ref(), want, "held epoch {} changed", want.epoch());
         }
     }
 
@@ -292,6 +449,45 @@ proptest! {
             }
         }
     }
+}
+
+/// On a steady repair drain with no pins held, the publisher takes the
+/// delta path — and each delta publish still equals a full fill.
+#[test]
+fn steady_drain_publishes_through_the_delta_path() {
+    // 12x12: on smaller meshes one drain's two-epoch log union often
+    // exceeds the delta budget, which would test only the fallback.
+    let graph = mesh_graph(12);
+    let k = graph.node_count();
+    let modules = module_stripes(k);
+    let router = Router::new(Algorithm::Ear)
+        .with_backend(PathBackend::DijkstraAllPairs)
+        .with_strategy(RecomputeStrategy::IncrementalRepair);
+    let metrics = MetricsHandle::new(Arc::new(Registry::counters_only()));
+    let (mut publisher, reader) = EpochPublisher::new();
+    publisher.set_metrics(metrics.clone());
+    let mut main = Pipeline {
+        scratch: RoutingScratch::new(),
+        state: RoutingState::empty(),
+        report: SystemReport::fresh(k, 16),
+    };
+    router.compute_into(&graph, &modules, &main.report, None, &mut main.scratch, &mut main.state);
+    publisher.publish(&main.state);
+    let frames = 2 * k;
+    for frame in 0..frames {
+        let node = NodeId::new((frame * 7 + 3) % k);
+        main.step(&router, &graph, &modules, node, 0, 1, frame % 2 == 1);
+        let epoch = publisher.publish(&main.state);
+        assert_eq!(*reader.pin(), expectation(epoch, &main.state), "epoch {epoch} diverged");
+    }
+    let snap = metrics.snapshot();
+    let full = snap.counter(CounterId::ServePublishFull);
+    assert!(snap.counter(CounterId::ServePublishCells) > 0, "no publish took the delta path");
+    assert!(
+        2 * full < frames as u64,
+        "{full} of {} publishes fell back to a full fill",
+        frames + 1
+    );
 }
 
 /// Both engine frame feeds publish byte-identical tables, so frontends
