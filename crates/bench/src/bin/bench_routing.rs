@@ -37,12 +37,17 @@
 //! `decrease_repairs_per_frame` (sources whose repair engaged the
 //! decrease half over the churn loop);
 //!
-//! plus the frame-time distribution and tracing cost:
-//! `repair_frame_p50/p90/p99_ns` (individually-timed steady-drain
-//! repair frames — the latency shape a frame-trace timeline reports)
-//! and `record_overhead_ns` / `record_overhead_frac` (one `etx-trace`
-//! record call — digest + encode + ring store — absolute and as a
-//! fraction of a steady repair frame).
+//! plus the frame-time distributions and tracing cost:
+//! `repair_frame_mean/p50/p90/p99/max_ns` and
+//! `churn_frame_mean/p50/p99/max_ns` (every frame of at least one full
+//! node cycle of the drain and churn loops, timed one by one — no best
+//! window), each with its per-frame stage split from the registry's
+//! `routing.repair.*` spans (`repair_stage_*_ns`, `churn_stage_*_ns`:
+//! `delta_extract`, `increase`, `decrease`, `table`, and the
+//! `unattributed` rest of the frame mean), and `record_overhead_ns` /
+//! `record_overhead_frac` (one `etx-trace` record call — digest +
+//! encode + ring store — absolute and as a fraction of a steady repair
+//! frame).
 //!
 //! A final `"metrics"` block reports `metrics_overhead_frac`: one
 //! frame's full `etx-metrics` record traffic (the engine's frame
@@ -102,14 +107,10 @@ struct Point {
     /// Average sources per churn frame whose repair engaged the decrease
     /// half (improvement propagation instead of a conservative re-run).
     decrease_repairs_per_frame: f64,
-    /// Steady-drain repair frame-time distribution (individual frame
-    /// timings, not best-window averages): the p50/p90/p99 shape the
-    /// frame-trace timeline reports per run.
-    repair_frame_p50_ns: f64,
-    /// 90th percentile of the same distribution.
-    repair_frame_p90_ns: f64,
-    /// 99th percentile of the same distribution.
-    repair_frame_p99_ns: f64,
+    /// Steady-drain repair frames, every one of a full node cycle.
+    drain: FrameDist,
+    /// Churn frames, every one of a full cycle of the pulse order.
+    churn: FrameDist,
     /// Cost of one frame-trace record call (state + cost digest over a
     /// K-node report, LEB128 encode, ring-slot store) on a warm
     /// recorder — the whole per-frame price of `fleet --record`.
@@ -167,16 +168,56 @@ fn record_frame_ns(report: &SystemReport, budget: Duration) -> f64 {
     window_ns / CHURN_PERIOD as f64
 }
 
-/// Individual steady-drain repair frame timings (the same loop as
-/// [`steady_drain_ns`] with the changed-bitset feed), reduced to
-/// `(p50, p90, p99)` — the per-frame latency distribution a frame-trace
-/// timeline would show for this fabric size.
-fn repair_frame_percentiles(
+/// The repair pipeline's stage spans, with the JSON name of each.
+const STAGES: [(SpanId, &str); 4] = [
+    (SpanId::RoutingRepairDelta, "delta_extract"),
+    (SpanId::RoutingRepairIncrease, "increase"),
+    (SpanId::RoutingRepairDecrease, "decrease"),
+    (SpanId::RoutingRepairTable, "table"),
+];
+
+/// One loop's frame-time distribution: every frame timed on its own,
+/// plus each repair stage's per-frame share from its span.
+struct FrameDist {
+    frames: usize,
+    mean_ns: f64,
+    p50_ns: f64,
+    p90_ns: f64,
+    p99_ns: f64,
+    max_ns: f64,
+    /// Span total over the timed frames divided by their count, in
+    /// [`STAGES`] order. A frame records exactly one of the two stage-2
+    /// spans (decrease when any source engaged the decrease half), so
+    /// the four add up to the instrumented part of the frame.
+    stages_ns: [f64; 4],
+}
+
+impl FrameDist {
+    /// The part of the mean frame no stage span covers (frame-feed
+    /// bookkeeping, the change log, the caller's loop).
+    fn unattributed_ns(&self) -> f64 {
+        self.mean_ns - self.stages_ns.iter().sum::<f64>()
+    }
+}
+
+/// Frames timed per distribution: at least one full node cycle (the
+/// `(frame * 7 + 3) % K` order visits every node once per `K` frames)
+/// and never fewer than 256, in whole churn periods.
+fn cycle_frames(k: usize) -> usize {
+    k.max(256).next_multiple_of(CHURN_PERIOD)
+}
+
+/// Runs `mutate`'s loop through the changed-bitset frame feed and times
+/// every frame of [`cycle_frames`] after one warm-up churn period (the
+/// first delta frame re-runs every source on cold trees). A full
+/// metrics registry is attached after the warm-up, so its
+/// `routing.repair.*` spans cover exactly the timed frames.
+fn frame_distribution(
     graph: &etx::graph::DiGraph,
     modules: &[Vec<NodeId>],
     report: &SystemReport,
-    samples: usize,
-) -> (f64, f64, f64) {
+    mut mutate: impl FnMut(&mut SystemReport, usize) -> NodeId,
+) -> FrameDist {
     let router = Router::new(Algorithm::Ear).with_strategy(RecomputeStrategy::IncrementalRepair);
     let k = graph.node_count();
     let mut scratch = RoutingScratch::new();
@@ -185,37 +226,59 @@ fn repair_frame_percentiles(
     let mut bits = NodeBitset::with_capacity(k);
     router.compute_into(graph, modules, &current, None, &mut scratch, &mut state);
     let mut frame = 0usize;
-    let mut drain_one = move |current: &mut SystemReport,
-                              scratch: &mut RoutingScratch,
-                              state: &mut RoutingState| {
-        let node = NodeId::new((frame * 7 + 3) % k);
-        let level = current.battery_level(node);
-        current.set_battery_level(node, if level == 0 { 15 } else { level - 1 });
-        frame += 1;
-        bits.clear();
-        bits.insert(node);
-        router.recompute_frame_into(
-            graph,
-            modules,
-            current,
-            FrameDelta { changed: &bits, any_deadlock: false, placement_changed: false },
-            scratch,
-            state,
-        );
-    };
-    for _ in 0..8 {
-        drain_one(&mut current, &mut scratch, &mut state);
+    let mut step =
+        |current: &mut SystemReport, scratch: &mut RoutingScratch, state: &mut RoutingState| {
+            let node = mutate(current, frame);
+            frame += 1;
+            bits.clear();
+            bits.insert(node);
+            router.recompute_frame_into(
+                graph,
+                modules,
+                current,
+                FrameDelta { changed: &bits, any_deadlock: false, placement_changed: false },
+                scratch,
+                state,
+            );
+        };
+    for _ in 0..CHURN_PERIOD {
+        step(&mut current, &mut scratch, &mut state);
     }
-    let mut timings: Vec<f64> = (0..samples)
+    let registry = Arc::new(Registry::full());
+    scratch.set_metrics(MetricsHandle::new(Arc::clone(&registry)));
+    let frames = cycle_frames(k);
+    let mut timings: Vec<f64> = (0..frames)
         .map(|_| {
             let start = Instant::now();
-            drain_one(&mut current, &mut scratch, &mut state);
+            step(&mut current, &mut scratch, &mut state);
             start.elapsed().as_secs_f64() * 1e9
         })
         .collect();
+    let snapshot = registry.snapshot();
+    let stages_ns =
+        STAGES.map(|(id, _)| snapshot.span(id).map_or(0.0, |h| h.sum_raw() as f64) / frames as f64);
+    let mean_ns = timings.iter().sum::<f64>() / frames as f64;
     timings.sort_by(f64::total_cmp);
     let pick = |q: f64| timings[((timings.len() - 1) as f64 * q).round() as usize];
-    (pick(0.50), pick(0.90), pick(0.99))
+    FrameDist {
+        frames,
+        mean_ns,
+        p50_ns: pick(0.50),
+        p90_ns: pick(0.90),
+        p99_ns: pick(0.99),
+        max_ns: pick(1.0),
+        stages_ns,
+    }
+}
+
+/// Steady-drain frame `frame`: lowers node `(frame * 7 + 3) % k` one
+/// battery bucket (wrapping an empty one back to full, so the loop
+/// runs forever) and returns it.
+fn drain_mutate(report: &mut SystemReport, frame: usize, k: usize) -> NodeId {
+    let node = NodeId::new((frame * 7 + 3) % k);
+    let level = report.battery_level(node);
+    report.set_battery_level(node, if level == 0 { 15 } else { level - 1 });
+    node
 }
 
 /// Measures the steady-state per-frame observability counters over a
@@ -235,9 +298,7 @@ fn steady_frame_stats(
     let mut bits = NodeBitset::with_capacity(k);
     router.compute_into(graph, modules, &current, None, &mut scratch, &mut state);
     let mut drain_one = |frame: usize, scratch: &mut RoutingScratch, state: &mut RoutingState| {
-        let node = NodeId::new((frame * 7 + 3) % k);
-        let level = current.battery_level(node);
-        current.set_battery_level(node, if level == 0 { 15 } else { level - 1 });
+        let node = drain_mutate(&mut current, frame, k);
         bits.clear();
         bits.insert(node);
         router.recompute_frame_into(
@@ -404,13 +465,7 @@ fn steady_drain_ns(
                               scratch: &mut RoutingScratch,
                               state: &mut RoutingState| {
         old.clone_from(current);
-        let node = NodeId::new((frame * 7 + 3) % k);
-        let level = current.battery_level(node);
-        if level == 0 {
-            current.set_battery_level(node, 15); // keep the loop running
-        } else {
-            current.set_battery_level(node, level - 1);
-        }
+        let node = drain_mutate(current, frame, k);
         frame += 1;
         if frame_feed {
             bits.clear();
@@ -608,9 +663,13 @@ fn measure(side: usize, budget: Duration) -> Point {
     let (repair_table_entries_per_frame, nodes_scanned_per_frame) =
         steady_frame_stats(&graph, &modules, &report);
 
-    let samples = if budget < Duration::from_millis(100) { 64 } else { 128 };
-    let (repair_frame_p50_ns, repair_frame_p90_ns, repair_frame_p99_ns) =
-        repair_frame_percentiles(&graph, &modules, &report, samples);
+    let drain = frame_distribution(&graph, &modules, &report, |current, frame| {
+        drain_mutate(current, frame, k)
+    });
+    let mut victim_level = 0u32;
+    let churn = frame_distribution(&graph, &modules, &report, |current, frame| {
+        churn_mutate(current, frame, k, &mut victim_level)
+    });
     let record_overhead_ns = record_frame_ns(&report, budget);
     let record_overhead_frac = record_overhead_ns / incremental_repair_ns;
     Point {
@@ -625,12 +684,36 @@ fn measure(side: usize, budget: Duration) -> Point {
         repair_table_entries_per_frame,
         nodes_scanned_per_frame,
         decrease_repairs_per_frame,
-        repair_frame_p50_ns,
-        repair_frame_p90_ns,
-        repair_frame_p99_ns,
+        drain,
+        churn,
         record_overhead_ns,
         record_overhead_frac,
     }
+}
+
+/// The distribution fields beyond the drain percentiles: drain mean and
+/// max, churn mean/p50/p99/max, and both loops' stage splits.
+fn dist_json(drain: &FrameDist, churn: &FrameDist) -> String {
+    let mut out = format!(
+        "\"frame_dist_frames\": {}, \"repair_frame_mean_ns\": {:.0}, \
+         \"repair_frame_max_ns\": {:.0}, \"churn_frame_mean_ns\": {:.0}, \
+         \"churn_frame_p50_ns\": {:.0}, \"churn_frame_p99_ns\": {:.0}, \
+         \"churn_frame_max_ns\": {:.0}",
+        drain.frames,
+        drain.mean_ns,
+        drain.max_ns,
+        churn.mean_ns,
+        churn.p50_ns,
+        churn.p99_ns,
+        churn.max_ns,
+    );
+    for (prefix, d) in [("repair", drain), ("churn", churn)] {
+        for ((_, stage), ns) in STAGES.iter().zip(d.stages_ns) {
+            out.push_str(&format!(", \"{prefix}_stage_{stage}_ns\": {ns:.0}"));
+        }
+        out.push_str(&format!(", \"{prefix}_stage_unattributed_ns\": {:.0}", d.unattributed_ns()));
+    }
+    out
 }
 
 fn main() {
@@ -679,12 +762,26 @@ fn main() {
             point.nodes_scanned_per_frame,
             point.k,
         );
+        for (name, d) in [("drain", &point.drain), ("churn", &point.churn)] {
+            eprintln!(
+                "        {name} frames ({}): mean={:.0}ns p50={:.0}ns p90={:.0}ns p99={:.0}ns \
+                 max={:.0}ns; stages delta_extract={:.0} increase={:.0} decrease={:.0} \
+                 table={:.0} unattributed={:.0}ns",
+                d.frames,
+                d.mean_ns,
+                d.p50_ns,
+                d.p90_ns,
+                d.p99_ns,
+                d.max_ns,
+                d.stages_ns[0],
+                d.stages_ns[1],
+                d.stages_ns[2],
+                d.stages_ns[3],
+                d.unattributed_ns(),
+            );
+        }
         eprintln!(
-            "        frame times p50={:.0}ns p90={:.0}ns p99={:.0}ns; trace record {:.0}ns \
-             = {:.2}% of a repair frame",
-            point.repair_frame_p50_ns,
-            point.repair_frame_p90_ns,
-            point.repair_frame_p99_ns,
+            "        trace record {:.0}ns = {:.2}% of a repair frame",
             point.record_overhead_ns,
             point.record_overhead_frac * 100.0,
         );
@@ -739,7 +836,11 @@ fn main() {
     json.push_str("{\n");
     json.push_str("  \"benchmark\": \"routing_recompute\",\n");
     json.push_str("  \"command\": \"cargo run -p etx-bench --bin bench_routing --release\",\n");
-    json.push_str("  \"units\": \"nanoseconds, best observed iteration\",\n");
+    json.push_str(
+        "  \"units\": \"nanoseconds; *_ns figures are the best observed iteration, except the \
+         repair_frame_*, churn_frame_* and *_stage_* distributions, taken over every frame of \
+         frame_dist_frames (at least one full node cycle)\",\n",
+    );
     json.push_str("  \"workload\": \"EAR three-phase recompute, square mesh, 3 striped modules, 16 battery levels\",\n");
     json.push_str("  \"points\": [\n");
     for (i, p) in points.iter().enumerate() {
@@ -752,7 +853,7 @@ fn main() {
              \"nodes_scanned_per_frame\": {:.1}, \
              \"decrease_repairs_per_frame\": {:.1}, \
              \"repair_frame_p50_ns\": {:.0}, \"repair_frame_p90_ns\": {:.0}, \
-             \"repair_frame_p99_ns\": {:.0}, \"record_overhead_ns\": {:.0}, \
+             \"repair_frame_p99_ns\": {:.0}, {}, \"record_overhead_ns\": {:.0}, \
              \"record_overhead_frac\": {:.4}}}{}\n",
             p.k,
             p.side,
@@ -766,9 +867,10 @@ fn main() {
             p.repair_table_entries_per_frame,
             p.nodes_scanned_per_frame,
             p.decrease_repairs_per_frame,
-            p.repair_frame_p50_ns,
-            p.repair_frame_p90_ns,
-            p.repair_frame_p99_ns,
+            p.drain.p50_ns,
+            p.drain.p90_ns,
+            p.drain.p99_ns,
+            dist_json(&p.drain, &p.churn),
             p.record_overhead_ns,
             p.record_overhead_frac,
             if i + 1 == points.len() { "" } else { "," }

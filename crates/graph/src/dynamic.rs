@@ -28,8 +28,43 @@
 //!   achiever set can only shrink, and the tree parent — the previous
 //!   minimum — stays in it), so its row entries are untouched;
 //! * every other node is a tree descendant of an increased edge; those
-//!   are recomputed by a heap pass restricted to the affected set, and a
-//!   post-pass in pop order restores `u*`-derived successors/parents.
+//!   are recomputed by a Dijkstra pass restricted to the affected set,
+//!   which also settles each node's parent and successor as it pops.
+//!
+//! The restricted pass seeds each affected node with its best
+//! in-neighbour candidate, scanning in discovery order so that a node
+//! sees its old tree parent's fresh seed. Every seed is the length of a
+//! real path, so it can only over-estimate, and Dijkstra from
+//! over-estimated labels still settles the exact distances; the seeds
+//! are sorted once and popped in order beside a heap holding only the
+//! later improvements.
+//!
+//! Each affected node's achiever is tracked *at relaxation*, so no node
+//! needs a second in-neighbour scan. The seed of `v` comes with the
+//! min-(dist, id) tail among the in-neighbours attaining it; afterwards
+//! every strict improvement of `v` resets the tail to the relaxing
+//! node, and every exact tie keeps whichever of the two settles first.
+//! Unaffected achievers of `v`'s final distance are all compared in the
+//! seed scan. Affected ones settle strictly before `v` (`dist(u) <
+//! dist(v)`) and relax `v` as they settle, either with the strict
+//! improvement that reaches the final distance or with a tie against
+//! it. So when `v` pops, every achiever has been compared and the
+//! tracked tail is `u*`. A tie is judged against the current tail's
+//! stored distance, which may still be a tentative over-estimate; that
+//! can only make the current tail look later than it is, and `u*` still
+//! wins the comparison it makes when it settles. The node keeps its
+//! child links when `u*` is its old parent (most nodes do), and is
+//! relinked once otherwise.
+//!
+//! **Precondition: every edge weight is strictly positive and finite,
+//! and adding it to a finite distance changes that distance**
+//! (`d + w > d`). Zero (or absorbed) weights would let an achiever
+//! settle *after* its head, so the tracked tail would miss it — and the
+//! fresh run's own tie-breaking would no longer follow `(dist, id)`
+//! order. Infinite weights are not edges at all. The simulator's
+//! config validation enforces the bounds for EAR weights (`pitch ×
+//! Q^k`); the absorption bound holds for any fabric whose path costs
+//! stay below `2^52` times its smallest weight.
 //!
 //! Weight **decreases** (a node revived, a link restored, a battery
 //! recharged) are handled by a second half that runs after the increase
@@ -214,12 +249,29 @@ pub struct RepairScratch {
     affected: Vec<u32>,
     /// The stamp of the current call (see `affected`).
     stamp: u32,
-    /// Affected nodes (DFS discovery order; order carries no meaning).
+    /// Affected nodes, then the decrease half's re-derived ones. The
+    /// increase part is in breadth-first discovery order (a node after
+    /// its old tree parent), which Phase B's seeding exploits; callers
+    /// must treat the list as a set.
     touched: Vec<u32>,
-    /// DFS work stack of the subtree walk.
+    /// DFS work stack of the decrease half's successor-dirty walk.
     stack: Vec<u32>,
-    /// Repaired nodes in `(dist, id)` pop order.
+    /// Increase half: repaired nodes in `(dist, id)` pop order.
     pops: Vec<u32>,
+    /// Increase half, indexed by node: the tracked achiever of an
+    /// affected node's tentative distance — the min-(dist, id) tail
+    /// among the in-neighbours that attain it so far. Phase B sets it
+    /// with the seed; Phase C replaces it on every strict improvement
+    /// and on every exact tie with an earlier-settling tail. When the
+    /// node pops it is `u*`, the fresh run's tree parent. Entries of
+    /// other nodes are stale and never read. Sized to `K` in
+    /// [`RepairScratch::prepare`], so the warm path never grows it.
+    achiever: Vec<u32>,
+    /// Increase half: one packed `(dist, id)` seed per affected node
+    /// with a finite candidate, sorted once so Phase C pops them in
+    /// order beside the heap of its improvements. Reserved to `K` in
+    /// [`RepairScratch::prepare`].
+    seeds: Vec<u128>,
     /// Decrease half: nodes whose distance improved (pop order), plus
     /// tie heads whose achiever flipped (appended after the pops).
     improved: Vec<u32>,
@@ -273,6 +325,8 @@ impl RepairScratch {
         self.touched.reserve(2 * n);
         self.stack.reserve(n);
         self.pops.reserve(n);
+        self.achiever.resize(n, NO_PARENT);
+        self.seeds.reserve(n);
         self.improved.reserve(n);
         self.succ_dirty.reserve(n);
         for d in deltas {
@@ -377,6 +431,13 @@ impl RepairScratch {
     fn is_marked2(&self, v: usize) -> bool {
         self.marks2[v] == self.stamp2
     }
+}
+
+/// `true` when a node at `(du, u)` settles before one at `(dt, t)` —
+/// the `(dist, id)` order in which Dijkstra pops, and so the order that
+/// picks a node's achiever among several that tie.
+fn precedes(du: f64, u: usize, dt: f64, t: u32) -> bool {
+    du < dt || (du == dt && (u as u32) < t)
 }
 
 /// What [`repair_source`] did with one source.
@@ -527,26 +588,27 @@ pub fn repair_source(
     // were already ≥ and only got worse); their descendants are exactly
     // the nodes whose tree path uses an increased edge, enumerated
     // through the child links. No settle-order scan, no `O(K)` walk —
-    // an unaffected source pays `O(#increases)` and nothing else.
+    // an unaffected source pays `O(#increases)` and nothing else. The
+    // walk is breadth-first with `touched` as its queue, so every node
+    // is discovered after its tree parent (Phase B's seeds use that).
     repair.bump_stamp(n);
     repair.touched.clear();
-    repair.stack.clear();
     for i in 0..repair.increases.len() {
         let (to, from) = repair.increases[i];
         if parent_row[to as usize] == from && dist_row[to as usize].is_finite() && repair.mark(to) {
             repair.touched.push(to);
-            repair.stack.push(to);
         }
     }
     if repair.touched.is_empty() && !any_relevant_decrease {
         return RepairOutcome::Unchanged;
     }
-    while let Some(v) = repair.stack.pop() {
-        let mut child = first_child_row[v as usize];
+    let mut next = 0;
+    while next < repair.touched.len() {
+        let mut child = first_child_row[repair.touched[next] as usize];
+        next += 1;
         while child != NO_PARENT {
             if repair.mark(child) {
                 repair.touched.push(child);
-                repair.stack.push(child);
             }
             child = next_row[child as usize];
         }
@@ -560,87 +622,120 @@ pub fn repair_source(
         return RepairOutcome::Rerun;
     }
 
-    // Phase B — invalidate and seed: affected entries unlink from their
-    // old parent and drop to "unreachable", then each gets its best
-    // boundary candidate (an unaffected in-neighbour; positive weights
-    // mean every achiever settles strictly earlier, so these are final
-    // values).
+    // Phase B — invalidate and seed. Affected distances drop to ∞
+    // first: an affected node's old distance may undercut its new one,
+    // so it must not be read as a candidate. Parents, successors and
+    // child links stay in place until the node settles in Phase C.
+    // Each affected node is then seeded with its best in-neighbour
+    // candidate and that candidate's min-(dist, id) tail, the achiever
+    // Phase C keeps current. The scan runs in discovery order, so a
+    // tree parent is seeded before its children and they see its
+    // tentative distance: a seed is always the length of a real path
+    // (an upper bound on the new distance), and most seeds are already
+    // exact, which keeps Phase C's improvements few.
     for i in 0..repair.touched.len() {
-        let v = repair.touched[i];
-        unlink_child(first_child_row, next_row, prev_row, parent_row[v as usize], v);
-        let v = v as usize;
-        dist_row[v] = INFINITE_DISTANCE;
-        succ_row[v] = None;
-        parent_row[v] = NO_PARENT;
+        dist_row[repair.touched[i] as usize] = INFINITE_DISTANCE;
     }
+    repair.seeds.clear();
+    for i in 0..repair.touched.len() {
+        let v = repair.touched[i] as usize;
+        let (mut best, mut tail_dist, mut tail) = (INFINITE_DISTANCE, INFINITE_DISTANCE, NO_PARENT);
+        for &(u, w) in in_adjacency.neighbors(v) {
+            let du = dist_row[u];
+            let cand = du + w;
+            if cand < best || (cand == best && precedes(du, u, tail_dist, tail)) {
+                (best, tail_dist, tail) = (cand, du, u as u32);
+            }
+        }
+        if best.is_finite() {
+            dist_row[v] = best;
+            repair.achiever[v] = tail;
+            repair.seeds.push(pack_entry(best, v));
+        }
+    }
+    // Nearly every affected node gets a seed, and few seeds improve
+    // later: one sort replaces a heap push and a heap pop per node, and
+    // the heap holds only Phase C's improvements.
+    repair.seeds.sort_unstable();
     heap.heap.clear();
     let heap_bound = adjacency.edge_count() + 1;
     if heap.heap.capacity() < heap_bound {
         heap.heap.reserve(heap_bound);
     }
-    for i in 0..repair.touched.len() {
-        let v = repair.touched[i] as usize;
-        let mut best = INFINITE_DISTANCE;
-        for &(u, w) in in_adjacency.neighbors(v) {
-            if !repair.is_affected(u) && dist_row[u].is_finite() {
-                let cand = dist_row[u] + w;
-                if cand < best {
-                    best = cand;
-                }
-            }
-        }
-        if best.is_finite() {
-            dist_row[v] = best;
-            heap.heap.push(core::cmp::Reverse(pack_entry(best, v)));
-        }
-    }
 
-    // Phase C — Dijkstra restricted to the affected set. Pop order is
-    // `(dist, id)` ascending, exactly the full run's settle order.
+    // Phase C — Dijkstra restricted to the affected set, popping the
+    // merge of the sorted seeds and the improvement heap. Both streams
+    // ascend, so pop order is `(dist, id)` ascending, exactly the full
+    // run's settle order. The achiever is tracked at relaxation: a
+    // strict improvement resets it to the relaxing tail, an exact tie
+    // keeps whichever of the two settles first. With strictly positive
+    // weights every achiever of `u` has settled and relaxed it by the
+    // time `u` pops, so the tracked tail is `u*` and `u`'s parent and
+    // successor are final here (see the module docs). A node re-links
+    // only when `u*` differs from its stored parent.
     repair.pops.clear();
-    while let Some(core::cmp::Reverse(entry)) = heap.heap.pop() {
+    let mut next_seed = 0;
+    loop {
+        let entry = match (repair.seeds.get(next_seed), heap.heap.peek()) {
+            (Some(&seed), Some(&core::cmp::Reverse(top))) if top < seed => {
+                heap.heap.pop();
+                top
+            }
+            (Some(&seed), _) => {
+                next_seed += 1;
+                seed
+            }
+            (None, Some(&core::cmp::Reverse(top))) => {
+                heap.heap.pop();
+                top
+            }
+            (None, None) => break,
+        };
         let (du, u) = unpack_entry(entry);
         if du > dist_row[u] {
             continue; // stale entry
         }
+        let p = repair.achiever[u];
+        let old = parent_row[u];
+        if old != p {
+            unlink_child(first_child_row, next_row, prev_row, old, u as u32);
+            parent_row[u] = p;
+            link_child(first_child_row, next_row, prev_row, p, u as u32);
+        }
+        succ_row[u] = if p as usize == s { Some(NodeId::new(u)) } else { succ_row[p as usize] };
         repair.pops.push(u as u32);
         for &(v, w) in adjacency.neighbors(u) {
-            if !repair.is_affected(v) {
+            let nd = du + w;
+            let dv = dist_row[v];
+            if nd > dv || !repair.is_affected(v) {
                 continue;
             }
-            let nd = du + w;
-            if nd < dist_row[v] {
+            if nd < dv {
                 dist_row[v] = nd;
+                repair.achiever[v] = u as u32;
                 heap.heap.push(core::cmp::Reverse(pack_entry(nd, v)));
+            } else if nd == dv {
+                let t = repair.achiever[v];
+                if t as usize != u && precedes(du, u, dist_row[t as usize], t) {
+                    repair.achiever[v] = u as u32;
+                }
             }
         }
     }
 
-    // Phase D — successors/parents from the achiever rule, in pop order
-    // so an affected achiever's own entries are already final when a
-    // later node reads them. Each repaired node relinks under its new
-    // parent; nodes that ended up unreachable stay unlinked, which is
-    // exactly the tree a fresh run would leave behind.
-    for i in 0..repair.pops.len() {
-        let v = repair.pops[i] as usize;
-        let dv = dist_row[v];
-        let mut best: Option<(u64, usize)> = None;
-        for &(u, w) in in_adjacency.neighbors(v) {
-            let du = dist_row[u];
-            if du.is_finite() && du + w == dv && (du < dv || (du == dv && u < v)) {
-                let key = (du.to_bits(), u);
-                if best.is_none_or(|b| key < b) {
-                    best = Some(key);
-                }
+    // Phase D — affected nodes that never settled are unreachable now:
+    // unlink them from their old parent and clear their entries, which
+    // is exactly the tree a fresh run would leave behind.
+    if repair.pops.len() < repair.touched.len() {
+        for i in 0..repair.touched.len() {
+            let v = repair.touched[i] as usize;
+            if dist_row[v].is_finite() {
+                continue;
             }
+            unlink_child(first_child_row, next_row, prev_row, parent_row[v], v as u32);
+            succ_row[v] = None;
+            parent_row[v] = NO_PARENT;
         }
-        // A finite repaired distance always has an achiever that settles
-        // strictly before `v` (weights are positive in this workspace;
-        // the zero-weight corner would need the unfiltered minimum).
-        let u = best.expect("finite repaired distance has an earlier achiever").1;
-        parent_row[v] = u as u32;
-        succ_row[v] = if u == s { Some(NodeId::new(v)) } else { succ_row[u] };
-        link_child(first_child_row, next_row, prev_row, u as u32, v as u32);
     }
 
     // Settled accounting: the unaffected nodes keep their reachability;
@@ -1152,6 +1247,52 @@ mod tests {
                     continue;
                 }
                 repair_all_and_check(&mut weights, &mut solved, &deltas);
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2048))]
+
+        /// Tie-dense chains: integer weights in {1, 2, 3} make exact
+        /// ties — several equal-cost achievers competing for a node's
+        /// parent — the common case, as they are under EAR's
+        /// `pitch × Q^k` weights. Each batch step sets one edge to a
+        /// level in {∞, 1, 2, 3}, so a chain mixes increases, removals,
+        /// decreases and insertions; every step must equal a fresh
+        /// solve in distance, successor, parent and settled count.
+        #[test]
+        fn tie_dense_chained_repairs_equal_fresh_solves(
+            n in 2usize..20,
+            edges in proptest::collection::vec((0usize..20, 0usize..20, 1u8..4), 1..80),
+            batches in proptest::collection::vec(
+                proptest::collection::vec((0usize..20, 0usize..20, 0u8..4), 1..8),
+                1..6
+            ),
+        ) {
+            let edges: Vec<(usize, usize, f64)> =
+                edges.into_iter().map(|(a, b, w)| (a % n, b % n, f64::from(w))).collect();
+            let mut weights = graph_from(n, &edges);
+            let mut solved = solve(&weights);
+            for batch in &batches {
+                let mut deltas: Vec<WeightDelta> = Vec::new();
+                for &(a, b, level) in batch {
+                    let (a, b) = (a % n, b % n);
+                    if a == b {
+                        continue;
+                    }
+                    let new = if level == 0 { INFINITE_DISTANCE } else { f64::from(level) };
+                    // Dedup within the batch: the last write wins, and
+                    // its delta starts from the pre-batch weight.
+                    deltas.retain(|d| !(d.from as usize == a && d.to as usize == b));
+                    let old = weights[(a, b)];
+                    if new != old {
+                        deltas.push(WeightDelta { from: a as u32, to: b as u32, old, new });
+                    }
+                }
+                if !deltas.is_empty() {
+                    repair_all_and_check(&mut weights, &mut solved, &deltas);
+                }
             }
         }
     }

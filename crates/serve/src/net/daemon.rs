@@ -87,9 +87,10 @@ enum JobKind {
     Ingest,
 }
 
-/// A pooled per-request workspace: the decoded request, the execution
-/// buffers and the encode buffer, all retained across requests so the
-/// warm path allocates nothing.
+/// A pooled per-request workspace: the decoded request and the
+/// execution buffers, retained across requests so the warm path
+/// allocates nothing. (Replies are encoded into the worker's own
+/// buffer; see `worker_loop`.)
 struct WorkItem {
     request_id: u64,
     kind: JobKind,
@@ -97,7 +98,6 @@ struct WorkItem {
     ingest_fabric: u32,
     ingest: Vec<(u32, u32)>,
     out: QueryOutput,
-    wire: Vec<u8>,
     received: Option<Instant>,
     /// Query counts per wire-latency lane: next-hop, cost, path.
     lanes: [u64; 3],
@@ -112,7 +112,6 @@ impl Default for WorkItem {
             ingest_fabric: 0,
             ingest: Vec::new(),
             out: QueryOutput::new(),
-            wire: Vec::new(),
             received: None,
             lanes: [0; 3],
         }
@@ -671,24 +670,22 @@ fn conn_loop(shared: &Arc<Shared>, conn: &Arc<Conn>) {
 const WIRE_LANES: [SpanId; 3] = [SpanId::NetWireNextHop, SpanId::NetWireCost, SpanId::NetWirePath];
 
 fn worker_loop(shared: &Arc<Shared>, shard: usize, mut fabrics: Vec<ServedFabric>) {
+    // Replies are encoded into this worker-owned buffer rather than the
+    // job's pooled item, so the item goes back to its connection's pool
+    // *before* the reply is written: a client may send its next request
+    // the instant the reply lands, and the decode of that request must
+    // find the item in the pool, or it allocates a fresh one.
+    let mut reply = Vec::new();
     while let Some(job) = shared.queues[shard].pop(&shared.shutdown, &shared.paused) {
         let Job { conn, mut item } = job;
-        match item.kind {
+        let (frame, encode_t) = match item.kind {
             JobKind::Query => {
                 {
                     let _exec = shared.metrics.span(SpanId::NetExecute);
                     shared.frontend.execute_pinned(&mut item.batch, &mut item.out);
                 }
                 let encode_t = shared.metrics.timer();
-                let frame = proto::encode_results(&mut item.wire, item.request_id, &item.out);
-                conn.write_frame(&shared.metrics, frame);
-                shared.metrics.observe_since(SpanId::NetEncode, encode_t);
-                if let Some(received) = item.received.take() {
-                    let ns = received.elapsed().as_nanos() as u64;
-                    for (lane, span) in WIRE_LANES.into_iter().enumerate() {
-                        shared.metrics.observe_n(span, ns, item.lanes[lane]);
-                    }
-                }
+                (proto::encode_results(&mut reply, item.request_id, &item.out), encode_t)
             }
             JobKind::Ingest => {
                 let side = fabrics.iter_mut().find(|f| f.fabric == item.ingest_fabric);
@@ -697,20 +694,28 @@ fn worker_loop(shared: &Arc<Shared>, shard: usize, mut fabrics: Vec<ServedFabric
                         let _exec = shared.metrics.span(SpanId::NetExecute);
                         let (epoch, applied) = side.ingest(&item.ingest);
                         shared.metrics.inc(CounterId::NetIngests);
-                        proto::encode_ingest_ack(&mut item.wire, item.request_id, epoch, applied)
+                        proto::encode_ingest_ack(&mut reply, item.request_id, epoch, applied)
                     }
-                    Some(_) => proto::encode_reject(
-                        &mut item.wire,
-                        item.request_id,
-                        code::INGEST_UNSUPPORTED,
-                    ),
-                    None => {
-                        proto::encode_reject(&mut item.wire, item.request_id, code::UNKNOWN_FABRIC)
+                    Some(_) => {
+                        proto::encode_reject(&mut reply, item.request_id, code::INGEST_UNSUPPORTED)
                     }
+                    None => proto::encode_reject(&mut reply, item.request_id, code::UNKNOWN_FABRIC),
                 };
-                conn.write_frame(&shared.metrics, frame);
+                (frame, None)
+            }
+        };
+        let query = matches!(item.kind, JobKind::Query);
+        let (received, lanes) = (item.received.take(), item.lanes);
+        conn.put_item(item);
+        conn.write_frame(&shared.metrics, frame);
+        if query {
+            shared.metrics.observe_since(SpanId::NetEncode, encode_t);
+            if let Some(received) = received {
+                let ns = received.elapsed().as_nanos() as u64;
+                for (lane, span) in WIRE_LANES.into_iter().enumerate() {
+                    shared.metrics.observe_n(span, ns, lanes[lane]);
+                }
             }
         }
-        conn.put_item(item);
     }
 }

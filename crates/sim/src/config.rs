@@ -802,6 +802,23 @@ impl SimConfigBuilder {
         if c.compute_cycles.is_zero() || c.hop_cycles.is_zero() {
             return Err(SimError::InvalidConfig("compute/hop latencies must be positive"));
         }
+        // Routing needs every edge weight strictly positive and finite:
+        // the incremental repair derives each node's tree parent from
+        // the order in which nodes settle, which a 0 weight breaks (it
+        // can even panic there), and an ∞ weight silently deletes the
+        // link. Every weight is `f(n) × pitch`, and `f` is monotone in
+        // the level, so its extremes are `f(N_B − 1) = 1` and `f(0) =
+        // Q^(N_B − 1)`.
+        let pitch = c.link_pitch.centimetres();
+        if !(pitch.is_finite() && pitch > 0.0) {
+            return Err(SimError::InvalidConfig("link pitch must be positive and finite"));
+        }
+        let extreme = c.weighting.weight(0) * pitch;
+        if !(extreme.is_finite() && extreme > 0.0) {
+            return Err(SimError::InvalidConfig(
+                "battery weighting: pitch × Q^(N_B − 1) must be positive and finite",
+            ));
+        }
         if c.battery_capacity.picojoules() <= 0.0 {
             return Err(SimError::InvalidConfig("battery capacity must be positive"));
         }
@@ -905,6 +922,35 @@ mod tests {
         ));
         let err = SimConfig::builder().mesh(0, 4).build().unwrap_err();
         assert!(err.to_string().contains("mesh"));
+    }
+
+    #[test]
+    fn rejects_a_link_pitch_that_is_not_positive() {
+        let err = SimConfig::builder().link_pitch(Length::ZERO).build().unwrap_err();
+        assert_eq!(err, SimError::InvalidConfig("link pitch must be positive and finite"));
+    }
+
+    #[test]
+    fn rejects_a_weighting_whose_extreme_weight_leaves_the_finite_positive_range() {
+        let expected = SimError::InvalidConfig(
+            "battery weighting: pitch × Q^(N_B − 1) must be positive and finite",
+        );
+        // 2^1999 overflows to ∞ (the link would vanish) ...
+        let err = SimConfig::builder().weighting(BatteryWeighting::new(2000, 2.0)).build();
+        assert_eq!(err.unwrap_err(), expected);
+        // ... and 0.5^1999 underflows to 0.
+        let err = SimConfig::builder().weighting(BatteryWeighting::new(2000, 0.5)).build();
+        assert_eq!(err.unwrap_err(), expected);
+        // The extreme includes the pitch: 2^1019 alone is finite, times
+        // a 1 km pitch (10^5 cm) it is not.
+        let err = SimConfig::builder()
+            .weighting(BatteryWeighting::new(1020, 2.0))
+            .link_pitch(Length::from_metres(1000.0))
+            .build();
+        assert_eq!(err.unwrap_err(), expected);
+        // The paper's N_B = 16, Q = 2 and a steep Q < 1 stay valid.
+        assert!(SimConfig::builder().weighting(BatteryWeighting::new(16, 2.0)).build().is_ok());
+        assert!(SimConfig::builder().weighting(BatteryWeighting::new(64, 0.5)).build().is_ok());
     }
 
     #[test]
