@@ -132,12 +132,14 @@ fn main() {
         let m = &largest.metrics;
         json.push_str(&format!(
             "  \"metrics\": {{\"fleet_instances\": {}, \"sim_frames\": {}, \
-             \"sim_recomputes\": {}, \"sim_jobs_completed\": {}, \"sim_jobs_lost\": {}}},\n",
+             \"sim_recomputes\": {}, \"sim_jobs_completed\": {}, \"sim_jobs_lost\": {}, \
+             \"sim_cycles_skipped\": {}}},\n",
             m.counter(CounterId::FleetInstances),
             m.counter(CounterId::SimFrames),
             m.counter(CounterId::SimRecomputes),
             m.counter(CounterId::SimJobsCompleted),
             m.counter(CounterId::SimJobsLost),
+            m.counter(CounterId::SimCyclesSkipped),
         ));
     }
     json.push_str("  \"points\": [\n");

@@ -173,6 +173,12 @@ impl<T> Matrix<T> {
         &self.data
     }
 
+    /// The full row-major backing slice, mutably — for kernels that
+    /// split it into disjoint row slices.
+    pub(crate) fn as_mut_slice(&mut self) -> &mut [T] {
+        &mut self.data
+    }
+
     /// Iterates over all `(row, col, &value)` triples in row-major order.
     pub fn entries(&self) -> impl Iterator<Item = (usize, usize, &T)> + '_ {
         self.data.iter().enumerate().map(move |(k, v)| (k / self.cols, k % self.cols, v))

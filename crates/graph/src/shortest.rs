@@ -231,14 +231,37 @@ pub fn floyd_warshall(weights: &Matrix<f64>) -> ShortestPaths {
 
 fn validate_weights(weights: &Matrix<f64>) {
     assert_eq!(weights.rows(), weights.cols(), "weight matrix must be square");
-    for (r, c, w) in weights.entries() {
+    // One flat scan for the first entry that is negative or NaN.
+    let flat = weights.as_slice();
+    if let Some(at) = flat.iter().position(|w| w.is_nan() || *w < 0.0) {
+        let (r, c, w) = (at / weights.cols(), at % weights.cols(), flat[at]);
         assert!(!w.is_nan(), "weight ({r},{c}) is NaN");
-        assert!(*w >= 0.0, "weight ({r},{c}) is negative: {w}");
+        panic!("weight ({r},{c}) is negative: {w}");
+    }
+}
+
+/// Row `i` of a row-major `n`-column plane, mutably, beside row `k`
+/// (`i != k`), immutably.
+fn row_and_pivot<T>(plane: &mut [T], n: usize, i: usize, k: usize) -> (&mut [T], &[T]) {
+    debug_assert_ne!(i, k);
+    if i < k {
+        let (head, tail) = plane.split_at_mut(k * n);
+        (&mut head[i * n..(i + 1) * n], &tail[..n])
+    } else {
+        let (head, tail) = plane.split_at_mut(i * n);
+        (&mut tail[..n], &head[k * n..(k + 1) * n])
     }
 }
 
 /// [`floyd_warshall`] into a preallocated result: no heap allocation once
 /// `out` has seen the current node count.
+///
+/// Pass `k` reads row `k` and column `k` while it writes the rest: with
+/// `d_kk = 0` and non-negative weights neither can improve during the
+/// pass (`d_ik + d_kk = d_ik`, `d_kk + d_kj = d_kj`, never strictly
+/// less). So `d_ik` and `S[i][k]` are hoisted per row, `i = k` is
+/// skipped, and the `j` loop runs over row slices. The result is
+/// bit-identical to the textbook triple loop, strict-`<` ties included.
 ///
 /// # Panics
 ///
@@ -250,26 +273,34 @@ pub fn floyd_warshall_into(weights: &Matrix<f64>, out: &mut ShortestPaths) {
     out.dist.copy_from(weights);
     // S^(0): the successor of i toward a directly-connected j is j itself.
     out.succ.reset(n, n, None);
-    let (dist, succ) = (&mut out.dist, &mut out.succ);
-    for i in 0..n {
-        for j in 0..n {
-            if i != j && dist[(i, j)].is_finite() {
-                succ[(i, j)] = Some(NodeId::new(j));
+    let dist = out.dist.as_mut_slice();
+    let succ = out.succ.as_mut_slice();
+    for (i, (d_row, s_row)) in dist.chunks_mut(n.max(1)).zip(succ.chunks_mut(n.max(1))).enumerate()
+    {
+        for (j, (d, s)) in d_row.iter().zip(s_row.iter_mut()).enumerate() {
+            if i != j && d.is_finite() {
+                *s = Some(NodeId::new(j));
             }
         }
     }
 
     for k in 0..n {
         for i in 0..n {
-            let d_ik = dist[(i, k)];
+            if i == k {
+                continue;
+            }
+            let (d_row, d_pivot) = row_and_pivot(dist, n, i, k);
+            let d_ik = d_row[k];
             if !d_ik.is_finite() {
                 continue;
             }
-            for j in 0..n {
-                let via = d_ik + dist[(k, j)];
-                if via < dist[(i, j)] {
-                    dist[(i, j)] = via;
-                    succ[(i, j)] = succ[(i, k)];
+            let s_row = &mut succ[i * n..(i + 1) * n];
+            let s_ik = s_row[k];
+            for ((d_ij, s_ij), &d_kj) in d_row.iter_mut().zip(s_row.iter_mut()).zip(d_pivot) {
+                let via = d_ik + d_kj;
+                if via < *d_ij {
+                    *d_ij = via;
+                    *s_ij = s_ik;
                 }
             }
         }
@@ -764,6 +795,45 @@ mod tests {
         assert!(!dj.is_reachable(NodeId::new(1), NodeId::new(0)));
     }
 
+    /// The textbook Fig. 5 triple loop over bounds-checked cells: the
+    /// oracle the row-slice kernel of [`floyd_warshall_into`] must
+    /// match bit for bit.
+    fn floyd_warshall_reference(weights: &Matrix<f64>) -> ShortestPaths {
+        let n = weights.rows();
+        let mut dist = weights.clone();
+        let mut succ = Matrix::filled(n, n, None);
+        for i in 0..n {
+            for j in 0..n {
+                if i != j && dist[(i, j)].is_finite() {
+                    succ[(i, j)] = Some(NodeId::new(j));
+                }
+            }
+        }
+        for k in 0..n {
+            for i in 0..n {
+                let d_ik = dist[(i, k)];
+                if !d_ik.is_finite() {
+                    continue;
+                }
+                for j in 0..n {
+                    let via = d_ik + dist[(k, j)];
+                    if via < dist[(i, j)] {
+                        dist[(i, j)] = via;
+                        succ[(i, j)] = succ[(i, k)];
+                    }
+                }
+            }
+        }
+        ShortestPaths { dist, succ }
+    }
+
+    #[test]
+    #[should_panic(expected = "weight (1,0) is NaN")]
+    fn nan_weights_rejected() {
+        let w = Matrix::from_vec(2, 2, vec![0.0, 1.0, f64::NAN, 0.0]);
+        let _ = floyd_warshall(&w);
+    }
+
     /// Reference single-source Bellman-Ford for cross-checking.
     fn bellman_ford(w: &Matrix<f64>, src: usize) -> Vec<f64> {
         let n = w.rows();
@@ -782,6 +852,37 @@ mod tests {
             }
         }
         d
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+        /// The row-slice kernel equals the textbook triple loop bit for
+        /// bit — distance bits and successors — on tie-dense integer
+        /// weights (0 to 3, so equal-cost alternatives abound) with
+        /// missing edges as ∞.
+        #[test]
+        fn row_slice_kernel_matches_triple_loop_bit_for_bit(
+            n in 0usize..13,
+            cells in proptest::collection::vec(0u8..7, 144),
+        ) {
+            let mut w = Matrix::filled(n, n, INFINITE_DISTANCE);
+            for i in 0..n {
+                for j in 0..n {
+                    w[(i, j)] = match (i == j, cells[i * 12 + j]) {
+                        (true, _) => 0.0,
+                        (false, c @ 0..=3) => f64::from(c),
+                        (false, _) => INFINITE_DISTANCE,
+                    };
+                }
+            }
+            let fast = floyd_warshall(&w);
+            let slow = floyd_warshall_reference(&w);
+            let bits = |p: &ShortestPaths| -> Vec<u64> {
+                p.dist.as_slice().iter().map(|d| d.to_bits()).collect()
+            };
+            prop_assert_eq!(bits(&fast), bits(&slow));
+            prop_assert_eq!(fast.succ.as_slice(), slow.succ.as_slice());
+        }
     }
 
     proptest! {

@@ -36,10 +36,11 @@ pub enum Class {
 
 /// Fixed IDs of every counter in the workspace. The discriminant is the
 /// counter's slot in [`Registry`](crate::Registry) and
-/// [`MetricsSnapshot`](crate::MetricsSnapshot) — append-only: new
-/// counters go at the end (bumping
-/// [`MetricsSnapshot::VERSION`](crate::MetricsSnapshot::VERSION)),
-/// existing discriminants never change.
+/// [`MetricsSnapshot`](crate::MetricsSnapshot). A new counter goes at
+/// the end of its class group (stable counters precede cost counters)
+/// and bumps [`MetricsSnapshot::VERSION`](crate::MetricsSnapshot::VERSION);
+/// slots are never persisted — exports carry names — so a new stable
+/// counter may shift the cost slots behind it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(u16)]
 pub enum CounterId {
@@ -65,57 +66,59 @@ pub enum CounterId {
     ServeQueriesCost = 9,
     /// Full-path queries answered.
     ServeQueriesPath = 10,
+    /// Engine cycles a run driver jumped over after quiet cycles.
+    SimCyclesSkipped = 11,
     /// Recomputes that ran a full phase 2.
-    RoutingFullRecomputes = 11,
+    RoutingFullRecomputes = 12,
     /// Recomputes that took the affected-sources delta path.
-    RoutingDeltaRecomputes = 12,
+    RoutingDeltaRecomputes = 13,
     /// Recomputes that took the incremental repair pipeline.
-    RoutingRepairRecomputes = 13,
+    RoutingRepairRecomputes = 14,
     /// Sources repaired in place across all repair recomputes.
-    RoutingRepairedSources = 14,
+    RoutingRepairedSources = 15,
     /// Sources the repair pipeline re-ran in full.
-    RoutingFallbackSources = 15,
+    RoutingFallbackSources = 16,
     /// Sources whose repair engaged the decrease half.
-    RoutingDecreaseRepairs = 16,
+    RoutingDecreaseRepairs = 17,
     /// Nodes improved across all decrease-half repairs.
-    RoutingDecreaseNodesImproved = 17,
+    RoutingDecreaseNodesImproved = 18,
     /// Recomputes whose phase 3 took the delta-aware row rebuild.
-    RoutingTableDeltaRebuilds = 18,
+    RoutingTableDeltaRebuilds = 19,
     /// `(node, module)` table entries refreshed.
-    RoutingTableEntriesRebuilt = 19,
+    RoutingTableEntriesRebuilt = 20,
     /// Table entries refreshed by the `O(1)` challenge patch.
-    RoutingTableCellsPatched = 20,
+    RoutingTableCellsPatched = 21,
     /// Recomputes that skipped every per-frame `O(K)` node scan.
-    RoutingFramesOkSkipped = 21,
+    RoutingFramesOkSkipped = 22,
     /// Node states examined by per-frame bookkeeping.
-    RoutingNodesScanned = 22,
+    RoutingNodesScanned = 23,
     /// Daemon connections accepted.
-    NetConnections = 23,
+    NetConnections = 24,
     /// Wire frames decoded off client connections.
-    NetFramesIn = 24,
+    NetFramesIn = 25,
     /// Wire frames written back to clients.
-    NetFramesOut = 25,
+    NetFramesOut = 26,
     /// Payload bytes received (frame payloads, excluding length prefix).
-    NetBytesIn = 26,
+    NetBytesIn = 27,
     /// Payload bytes sent (frame payloads, excluding length prefix).
-    NetBytesOut = 27,
+    NetBytesOut = 28,
     /// Query batches accepted off the wire.
-    NetQueryRequests = 28,
+    NetQueryRequests = 29,
     /// Telemetry-ingest frames applied to a served fabric.
-    NetIngests = 29,
+    NetIngests = 30,
     /// Requests shed by a full shard queue (load-shedding responses).
-    NetShedTotal = 30,
+    NetShedTotal = 31,
     /// Malformed/oversized/unknown frames answered with an error frame.
-    NetProtocolErrors = 31,
+    NetProtocolErrors = 32,
     /// Distance/successor cells a delta publish copied into its spare.
-    ServePublishCells = 32,
+    ServePublishCells = 33,
     /// Publishes that refilled every plane (the delta path declined).
-    ServePublishFull = 33,
+    ServePublishFull = 34,
 }
 
 impl CounterId {
     /// Number of counters in the catalog.
-    pub const COUNT: usize = 34;
+    pub const COUNT: usize = 35;
 
     /// Every counter, in export order.
     pub const ALL: [CounterId; CounterId::COUNT] = [
@@ -130,6 +133,7 @@ impl CounterId {
         CounterId::ServeQueriesNextHop,
         CounterId::ServeQueriesCost,
         CounterId::ServeQueriesPath,
+        CounterId::SimCyclesSkipped,
         CounterId::RoutingFullRecomputes,
         CounterId::RoutingDeltaRecomputes,
         CounterId::RoutingRepairRecomputes,
@@ -193,6 +197,7 @@ impl CounterId {
             CounterId::NetProtocolErrors => "net.protocol_errors",
             CounterId::ServePublishCells => "serve.publish_cells",
             CounterId::ServePublishFull => "serve.publish_full",
+            CounterId::SimCyclesSkipped => "sim.cycles_skipped",
         }
     }
 
@@ -211,7 +216,8 @@ impl CounterId {
             | CounterId::ServePublishes
             | CounterId::ServeQueriesNextHop
             | CounterId::ServeQueriesCost
-            | CounterId::ServeQueriesPath => Class::Stable,
+            | CounterId::ServeQueriesPath
+            | CounterId::SimCyclesSkipped => Class::Stable,
             _ => Class::Cost,
         }
     }

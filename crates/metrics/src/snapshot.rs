@@ -36,8 +36,9 @@ impl MetricsSnapshot {
     /// grows or reorders; merging mixed versions is a programming
     /// error). Version 2 appended the `net.*` daemon wire metrics,
     /// version 3 the `serve.publish_cells`/`serve.publish_full` cost
-    /// counters.
-    pub const VERSION: u32 = 3;
+    /// counters, version 4 the stable `sim.cycles_skipped` counter
+    /// (ahead of the cost slots, which it shifted by one).
+    pub const VERSION: u32 = 4;
 
     /// An empty snapshot (all counters/gauges zero, no spans).
     #[must_use]
@@ -286,8 +287,9 @@ mod tests {
     fn deterministic_json_excludes_cost_and_wall() {
         let snap = sample(99);
         let json = snap.to_json();
-        assert!(json.contains("\"metrics_version\": 3"));
+        assert!(json.contains("\"metrics_version\": 4"));
         assert!(json.contains("\"sim.frames\""));
+        assert!(json.contains("\"sim.cycles_skipped\""));
         assert!(!json.contains("routing."), "cost counters leaked into the deterministic export");
         assert!(!json.contains("net."), "wire counters leaked into the deterministic export");
         assert!(!json.contains("_ns"), "wall-clock data leaked into the deterministic export");

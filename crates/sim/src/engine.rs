@@ -1,4 +1,36 @@
 //! The [`Simulation`] engine: the cycle loop of `et_sim`.
+//!
+//! # Quiet cycles
+//!
+//! [`Simulation::step`] advances exactly one cycle and is the oracle for
+//! everything else. [`Simulation::run`], [`Simulation::run_pooled`] and
+//! [`Simulation::run_until_dead`] drive the same cycle function, but
+//! after a *quiet* cycle they jump the clock ahead instead of stepping
+//! through cycles that would repeat it.
+//!
+//! A cycle is quiet when it applied no scripted failure or revival, hit
+//! no frame boundary, raised no deadlock flag and injected no job, and
+//! every in-flight job came back `Waiting`: still in flight, with its
+//! phase, stall clock and routing stamp unchanged, and no battery,
+//! buffer or busy state touched. Such a cycle leaves every piece of
+//! state except `now` as it was. The next cycle therefore repeats it
+//! exactly until one of the cycle's clock-dependent checks flips. The
+//! jump target is the first cycle at which one can flip, the minimum of
+//! (all saturating):
+//!
+//! * the next frame boundary and `max_cycles`;
+//! * the next scripted failure and the next scripted revival;
+//! * each `Computing.until` and each `HopInFlight.arrive`;
+//! * the destination's `busy_until`, for a job that has arrived but
+//!   waits for a busy node;
+//! * `stuck_since + deadlock_threshold + 1`, for each stalled job whose
+//!   holder's deadlock flag is not yet raised;
+//! * `max(stuck_since) + stall_giveup + 1`, when every job is stalled.
+//!
+//! Any new check in the cycle that compares against `now` must join
+//! this list (in `Simulation::next_trigger`), or the jump would step
+//! over the cycle where it flips. The `fast_forward_matches_step_loop`
+//! property test compares runs against a plain `step()` loop.
 
 use etx_control::{ControlLedger, ControllerBank, ControllerEnergyModel};
 use etx_graph::{DiGraph, NodeBitset, NodeId};
@@ -93,12 +125,27 @@ pub trait FrameRecorder: Send {
 
 /// Outcome of advancing one job for one cycle.
 enum JobOutcome {
-    /// Still in flight.
+    /// Still in flight, and this cycle changed nothing: not the job and
+    /// not the fabric (see the module docs on quiet cycles).
+    Waiting,
+    /// Still in flight, having moved on this cycle.
     Continue,
     /// Walked its whole operation sequence.
     Completed,
     /// Lost to a node death.
     Lost,
+}
+
+impl JobOutcome {
+    /// A job that stays in flight: [`JobOutcome::Waiting`] unless this
+    /// cycle `changed` it.
+    fn in_flight(changed: bool) -> Self {
+        if changed {
+            JobOutcome::Continue
+        } else {
+            JobOutcome::Waiting
+        }
+    }
 }
 
 /// One `et_sim` run in progress.
@@ -164,6 +211,9 @@ pub struct Simulation {
     /// stepping performs no heap allocation.
     jobs_spare: Vec<Job>,
     now: u64,
+    /// Cycles the run drivers jumped over after quiet cycles (see the
+    /// module docs); `step()` alone never skips.
+    cycles_skipped: u64,
     next_job_id: u64,
     // Event accumulators.
     jobs_completed: u64,
@@ -321,6 +371,7 @@ impl Simulation {
             jobs: Vec::new(),
             jobs_spare: Vec::new(),
             now: 0,
+            cycles_skipped: 0,
             next_job_id: 0,
             jobs_completed: 0,
             jobs_lost: 0,
@@ -417,6 +468,12 @@ impl Simulation {
     /// for callers that only needed to warm the system up (a read-side
     /// frontend extracting a published snapshot, for instance).
     pub fn recycle_into(mut self, pool: &mut SimPool) {
+        self.return_buffers(pool);
+    }
+
+    /// Moves the routing scratch, table and report buffers into `pool`,
+    /// leaving empty ones behind.
+    fn return_buffers(&mut self, pool: &mut SimPool) {
         let scratch = std::mem::take(&mut self.routing_scratch);
         let routing = std::mem::replace(&mut self.routing, RoutingState::empty());
         let report = std::mem::replace(&mut self.last_report, SystemReport::fresh(0, 1));
@@ -464,17 +521,66 @@ impl Simulation {
     /// Advances the simulation by one cycle. Returns the death cause once
     /// the system dies (and on every later call).
     pub fn step(&mut self) -> Option<DeathCause> {
+        self.cycle().err()
+    }
+
+    /// Runs until the system dies, jumping over quiet cycles (see the
+    /// module docs), and returns the death cause. The simulation stays
+    /// inspectable afterwards — its trace, routing and clock — and
+    /// every later [`Simulation::step`] returns the same cause. It ends
+    /// in the state that calling `step()` until it returns a cause would
+    /// reach, with the same trace and hook calls on the way.
+    pub fn run_until_dead(&mut self) -> DeathCause {
+        loop {
+            match self.cycle() {
+                Ok(true) => self.skip_quiet_cycles(),
+                Ok(false) => {}
+                Err(cause) => return cause,
+            }
+        }
+    }
+
+    /// Runs until the system dies and returns the final report.
+    #[must_use]
+    pub fn run(mut self) -> SimReport {
+        let cause = self.run_until_dead();
+        self.into_report(cause)
+    }
+
+    /// Runs to completion like [`Simulation::run`], then hands the
+    /// simulation's routing scratch, table and report buffers back to
+    /// `pool` for the next instance. Pair with
+    /// [`SimConfigBuilder::build_pooled`][crate::SimConfigBuilder::build_pooled];
+    /// the report is identical to what [`Simulation::run`] produces.
+    #[must_use]
+    pub fn run_pooled(mut self, pool: &mut SimPool) -> SimReport {
+        let cause = self.run_until_dead();
+        // Snapshot the recompute counters before the scratch (whose
+        // recycling zeroes them) flows back to the pool.
+        let recompute = self.routing_scratch.stats();
+        self.return_buffers(pool);
+        self.finish_report(cause, recompute)
+    }
+
+    // ------------------------------------------------------------------
+    // internals
+
+    /// One cycle: the body of [`Simulation::step`]. `Ok(true)` when the
+    /// cycle was quiet (module docs), `Err` once the system is dead.
+    fn cycle(&mut self) -> Result<bool, DeathCause> {
         if let Some(cause) = self.death {
-            return Some(cause);
+            return Err(cause);
         }
         if self.now >= self.cfg.max_cycles {
             return self.die(DeathCause::MaxCycles);
         }
+        let mut quiet = true;
 
         // --- scripted failures (churn injection) ----------------------
         while self.failure_cursor < self.failures.len()
             && self.failures[self.failure_cursor].at_cycle <= self.now
         {
+            quiet = false;
             let node = NodeId::new(self.failures[self.failure_cursor].node);
             self.failure_cursor += 1;
             if !self.nodes[node.index()].is_dead() {
@@ -486,6 +592,7 @@ impl Simulation {
         while self.revival_cursor < self.revivals.len()
             && self.revivals[self.revival_cursor].at_cycle <= self.now
         {
+            quiet = false;
             let node = NodeId::new(self.revivals[self.revival_cursor].node);
             self.revival_cursor += 1;
             // Only a disconnect can be reversed: a node whose *battery*
@@ -502,6 +609,7 @@ impl Simulation {
 
         // --- TDMA frame boundary -------------------------------------
         if self.now.is_multiple_of(self.cfg.tdma.frame_period.count()) {
+            quiet = false;
             if let Some(cause) = self.tdma_frame() {
                 return self.die(cause);
             }
@@ -517,13 +625,19 @@ impl Simulation {
         let mut died = None;
         for mut job in jobs.drain(..) {
             match self.advance_job(&mut job) {
-                JobOutcome::Continue => survivors.push(job),
+                JobOutcome::Waiting => survivors.push(job),
+                JobOutcome::Continue => {
+                    quiet = false;
+                    survivors.push(job);
+                }
                 JobOutcome::Completed => {
+                    quiet = false;
                     self.jobs_completed += 1;
                     self.trace.record(self.now, TraceEvent::JobCompleted { job: job.id });
                     self.release_buffer(job.location);
                 }
                 JobOutcome::Lost => {
+                    quiet = false;
                     self.jobs_lost += 1;
                     self.trace
                         .record(self.now, TraceEvent::JobLost { job: job.id, at: job.location });
@@ -556,6 +670,7 @@ impl Simulation {
                 // the raise fires once per frame window — re-raises are
                 // no-ops and must stay one load cheap.
                 if !self.nodes[node.index()].deadlock_flag {
+                    quiet = false;
                     self.nodes[node.index()].deadlock_flag = true;
                     // Transition recording at the raise site: the frame
                     // state and its aggregates stay current without any
@@ -576,7 +691,7 @@ impl Simulation {
         // --- injection --------------------------------------------------
         while self.jobs.len() < self.cfg.concurrent_jobs {
             match self.inject_job() {
-                Ok(true) => {}
+                Ok(true) => quiet = false,
                 Ok(false) => break, // temporarily no room; retry next cycle
                 Err(cause) => return self.die(cause),
             }
@@ -589,48 +704,67 @@ impl Simulation {
         }
 
         self.now += 1;
-        None
+        Ok(quiet)
     }
 
-    /// Runs until the system dies and returns the final report.
-    #[must_use]
-    pub fn run(mut self) -> SimReport {
-        loop {
-            if let Some(cause) = self.step() {
-                return self.into_report(cause);
-            }
+    fn die(&mut self, cause: DeathCause) -> Result<bool, DeathCause> {
+        self.death = Some(cause);
+        Err(cause)
+    }
+
+    /// After a quiet cycle: moves `now` to [`Simulation::next_trigger`],
+    /// skipping the cycles in between, each of which would repeat the
+    /// quiet one.
+    fn skip_quiet_cycles(&mut self) {
+        let target = self.next_trigger();
+        debug_assert!(target >= self.now, "trigger {target} lies before cycle {}", self.now);
+        if target > self.now {
+            self.cycles_skipped += target - self.now;
+            self.now = target;
         }
     }
 
-    /// Runs to completion like [`Simulation::run`], then hands the
-    /// simulation's routing scratch, table and report buffers back to
-    /// `pool` for the next instance. Pair with
-    /// [`SimConfigBuilder::build_pooled`][crate::SimConfigBuilder::build_pooled];
-    /// the report is identical to what [`Simulation::run`] produces.
-    #[must_use]
-    pub fn run_pooled(mut self, pool: &mut SimPool) -> SimReport {
-        let cause = loop {
-            if let Some(cause) = self.step() {
-                break cause;
+    /// The first cycle, at or after `now`, at which a clock-dependent
+    /// check in [`Simulation::cycle`] can flip: the trigger list of the
+    /// module docs. Valid right after a quiet cycle.
+    fn next_trigger(&self) -> u64 {
+        let period = self.cfg.tdma.frame_period.count();
+        let mut at =
+            self.cfg.max_cycles.min(self.now.checked_next_multiple_of(period).unwrap_or(u64::MAX));
+        if let Some(failure) = self.failures.get(self.failure_cursor) {
+            at = at.min(failure.at_cycle);
+        }
+        if let Some(revival) = self.revivals.get(self.revival_cursor) {
+            at = at.min(revival.at_cycle);
+        }
+        let threshold = self.cfg.deadlock_threshold.count();
+        let mut all_stuck = true;
+        let mut last_stall = 0;
+        for job in &self.jobs {
+            match job.phase {
+                JobPhase::HopInFlight { arrive, .. } => at = at.min(arrive),
+                JobPhase::Computing { until } => at = at.min(until),
+                // Arrived, and waiting for the destination to free up.
+                JobPhase::Traveling { dest } if dest == job.location => {
+                    at = at.min(self.nodes[dest.index()].busy_until);
+                }
+                JobPhase::Traveling { .. } | JobPhase::AwaitingRoute => {}
             }
-        };
-        // Snapshot the recompute counters before the scratch (whose
-        // recycling zeroes them) flows back to the pool.
-        let recompute = self.routing_scratch.stats();
-        let scratch = std::mem::take(&mut self.routing_scratch);
-        let routing = std::mem::replace(&mut self.routing, RoutingState::empty());
-        let report = std::mem::replace(&mut self.last_report, SystemReport::fresh(0, 1));
-        let report_buf = std::mem::replace(&mut self.frame_state, SystemReport::fresh(0, 1));
-        pool.put(scratch, routing, report, report_buf);
-        self.finish_report(cause, recompute)
-    }
-
-    // ------------------------------------------------------------------
-    // internals
-
-    fn die(&mut self, cause: DeathCause) -> Option<DeathCause> {
-        self.death = Some(cause);
-        Some(cause)
+            match job.stuck_since {
+                Some(since) => {
+                    if !self.nodes[job.location.index()].deadlock_flag {
+                        at = at.min(since.saturating_add(threshold).saturating_add(1));
+                    }
+                    last_stall = last_stall.max(since);
+                }
+                None => all_stuck = false,
+            }
+        }
+        if all_stuck && !self.jobs.is_empty() {
+            let giveup = self.cfg.stall_giveup.count();
+            at = at.min(last_stall.saturating_add(giveup).saturating_add(1));
+        }
+        at
     }
 
     fn release_buffer(&mut self, node: NodeId) {
@@ -1197,6 +1331,11 @@ impl Simulation {
     }
 
     /// Advances one job by (at most) one cycle's worth of activity.
+    ///
+    /// Returns [`JobOutcome::Waiting`] only when the cycle changed
+    /// nothing: the job waits on its first phase check, and a stall
+    /// mark (if any) found the stall clock already running. Every phase
+    /// transition below sets `moved`.
     fn advance_job(&mut self, job: &mut Job) -> JobOutcome {
         // A dead holder loses the job (packet and state are gone).
         if self.nodes[job.location.index()].is_dead()
@@ -1204,6 +1343,7 @@ impl Simulation {
         {
             return JobOutcome::Lost;
         }
+        let mut moved = false;
         loop {
             match job.phase {
                 JobPhase::AwaitingRoute => {
@@ -1211,18 +1351,17 @@ impl Simulation {
                     let Some(entry) = self.routing.route(job.location, module.index()) else {
                         // No live duplicate reachable right now; wait for
                         // recovery (or the stall reaper).
-                        job.mark_stuck(self.now);
-                        return JobOutcome::Continue;
+                        return JobOutcome::in_flight(job.mark_stuck(self.now) || moved);
                     };
                     let dest = entry.destination;
                     if dest != job.location && self.nodes[dest.index()].is_dead() {
                         // Stale table: the chosen duplicate died since the
                         // last TDMA download. Wait for fresh routes.
-                        job.mark_stuck(self.now);
-                        return JobOutcome::Continue;
+                        return JobOutcome::in_flight(job.mark_stuck(self.now) || moved);
                     }
                     job.seen_routing_version = self.routing_version;
                     job.phase = JobPhase::Traveling { dest };
+                    moved = true;
                     continue;
                 }
                 JobPhase::Traveling { dest } => {
@@ -1234,6 +1373,7 @@ impl Simulation {
                         && job.location != dest
                     {
                         job.phase = JobPhase::AwaitingRoute;
+                        moved = true;
                         continue;
                     }
                     // Remapping may have changed what dest hosts while the
@@ -1251,8 +1391,7 @@ impl Simulation {
                             return JobOutcome::Lost;
                         }
                         if node.busy_until > self.now {
-                            job.mark_stuck(self.now);
-                            return JobOutcome::Continue;
+                            return JobOutcome::in_flight(job.mark_stuck(self.now) || moved);
                         }
                         let module = self.cfg.app.op_sequence()[job.op_index];
                         let energy = self
@@ -1273,21 +1412,19 @@ impl Simulation {
                     // Destination may have died while we were travelling.
                     if self.nodes[dest.index()].is_dead() {
                         job.phase = JobPhase::AwaitingRoute;
+                        moved = true;
                         continue;
                     }
                     let Some(next) = self.routing.next_hop(job.location, dest) else {
-                        job.mark_stuck(self.now);
-                        return JobOutcome::Continue;
+                        return JobOutcome::in_flight(job.mark_stuck(self.now) || moved);
                     };
                     if self.nodes[next.index()].is_dead() {
                         // Stale table points into a dead neighbour; the
                         // link layer refuses, wait for fresh routes.
-                        job.mark_stuck(self.now);
-                        return JobOutcome::Continue;
+                        return JobOutcome::in_flight(job.mark_stuck(self.now) || moved);
                     }
                     if self.nodes[next.index()].buffered >= self.cfg.buffer_capacity {
-                        job.mark_stuck(self.now);
-                        return JobOutcome::Continue;
+                        return JobOutcome::in_flight(job.mark_stuck(self.now) || moved);
                     }
                     // Transmit one hop; the sender pays for the line.
                     let length = self
@@ -1318,7 +1455,7 @@ impl Simulation {
                 }
                 JobPhase::HopInFlight { dest, to, arrive } => {
                     if self.now < arrive {
-                        return JobOutcome::Continue;
+                        return JobOutcome::in_flight(moved);
                     }
                     if self.nodes[to.index()].is_dead() {
                         // Landed on a node that died mid-flight.
@@ -1326,11 +1463,12 @@ impl Simulation {
                     }
                     job.location = to;
                     job.phase = JobPhase::Traveling { dest };
+                    moved = true;
                     continue;
                 }
                 JobPhase::Computing { until } => {
                     if self.now < until {
-                        return JobOutcome::Continue;
+                        return JobOutcome::in_flight(moved);
                     }
                     self.nodes[job.location.index()].ops_done += 1;
                     job.op_index += 1;
@@ -1339,6 +1477,7 @@ impl Simulation {
                         return JobOutcome::Completed;
                     }
                     job.phase = JobPhase::AwaitingRoute;
+                    moved = true;
                     continue;
                 }
             }
@@ -1359,6 +1498,7 @@ impl Simulation {
         // shard's registry sums exactly what its aggregate sums.
         self.metrics.add(CounterId::SimJobsCompleted, self.jobs_completed);
         self.metrics.add(CounterId::SimJobsLost, self.jobs_lost);
+        self.metrics.add(CounterId::SimCyclesSkipped, self.cycles_skipped);
         self.metrics.gauge_raise(GaugeId::SimRoutingVersion, self.routing_version);
         let total_ops = self.cfg.app.op_sequence().len();
         let in_flight: f64 = self.jobs.iter().map(|j| j.progress(total_ops)).sum();

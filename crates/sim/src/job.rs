@@ -72,10 +72,14 @@ impl Job {
     }
 
     /// Marks the job as stalled at `now` (keeps the earliest stall time).
-    pub fn mark_stuck(&mut self, now: u64) {
-        if self.stuck_since.is_none() {
+    /// Returns `true` when this started the stall clock, `false` when the
+    /// job was already stalled (and so did not change).
+    pub fn mark_stuck(&mut self, now: u64) -> bool {
+        let started = self.stuck_since.is_none();
+        if started {
             self.stuck_since = Some(now);
         }
+        started
     }
 
     /// How long the job has been stalled, as of `now`.
@@ -101,8 +105,8 @@ mod tests {
     fn stall_clock() {
         let mut j = Job::new(1, NodeId::new(0));
         assert_eq!(j.stuck_for(100), 0);
-        j.mark_stuck(100);
-        j.mark_stuck(150); // keeps the earliest
+        assert!(j.mark_stuck(100));
+        assert!(!j.mark_stuck(150)); // keeps the earliest
         assert_eq!(j.stuck_for(160), 60);
         j.mark_progress();
         assert_eq!(j.stuck_for(200), 0);
